@@ -33,12 +33,12 @@ from scenekit.promptgen.library import LibraryError, builtin_library, load_libra
 from scenekit.promptgen.stubserver import StubLLMServer
 from scenekit.promptgen.template import ScenarioType
 from scenekit.render.cameras import Camera, CameraError, camera_from_dict, camera_to_dict, default_camera
-from scenekit.render.combine import PRESETS, combine_controls, load_weights, normalize_modality
+from scenekit.render.combine import combine_controls, load_weights, normalize_modality
 from scenekit.render.formats import write_pfm, write_pgm
 from scenekit.render.raster import edge_from_seg, prepare_static, render_frame
 from scenekit.sim.engine import PlacementError, SimConfig, run
 from scenekit.sim.requirements import check_requirements
-from scenekit.sim.traceio import read_trace_json, write_trace_bin, write_trace_json
+from scenekit.sim.traceio import read_trace_json, write_trace_json
 from scenekit.sim.worldmap import MapError, WorldMap, builtin_map, load_map
 
 EXIT_OK = 0
@@ -52,10 +52,6 @@ class CliError(Exception):
     """Environment-level failure; message goes to stderr, exit code 2."""
 
 
-def _fail(message: str) -> CliError:
-    return CliError(message)
-
-
 def _load_world(spec: str) -> WorldMap:
     try:
         path = Path(spec)
@@ -63,7 +59,7 @@ def _load_world(spec: str) -> WorldMap:
             return load_map(path)
         return builtin_map(spec)
     except (MapError, OSError) as e:
-        raise _fail(f"cannot load map {spec!r}: {e}") from e
+        raise CliError(f"cannot load map {spec!r}: {e}") from e
 
 
 def _load_camera(spec: str | None, world: WorldMap) -> Camera:
@@ -75,16 +71,16 @@ def _load_camera(spec: str | None, world: WorldMap) -> Camera:
         data = json.loads(Path(spec).read_text())
         return camera_from_dict(data)
     except OSError as e:
-        raise _fail(f"cannot read camera file {spec!r}: {e}") from e
+        raise CliError(f"cannot read camera file {spec!r}: {e}") from e
     except (json.JSONDecodeError, CameraError) as e:
-        raise _fail(f"bad camera config {spec!r}: {e}") from e
+        raise CliError(f"bad camera config {spec!r}: {e}") from e
 
 
 def _load_weight_spec(spec: str) -> dict[str, float]:
     try:
         return load_weights(spec)
     except (OSError, ValueError) as e:
-        raise _fail(f"bad weights {spec!r}: {e}") from e
+        raise CliError(f"bad weights {spec!r}: {e}") from e
 
 
 def _read_config_file(path: str | None) -> dict:
@@ -93,9 +89,9 @@ def _read_config_file(path: str | None) -> dict:
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as e:
-        raise _fail(f"cannot read config file {path!r}: {e}") from e
+        raise CliError(f"cannot read config file {path!r}: {e}") from e
     if not isinstance(data, dict):
-        raise _fail(f"config file {path!r} must hold a JSON object")
+        raise CliError(f"config file {path!r} must hold a JSON object")
     return data
 
 
@@ -106,7 +102,7 @@ def _resolve_endpoint(args, config: dict) -> EndpointConfig:
     model = args.model or env.get("SCENEKIT_LLM_MODEL") or config.get("model")
     api_key = args.api_key or env.get("SCENEKIT_LLM_API_KEY") or config.get("api_key")
     if not base_url or not model:
-        raise _fail(
+        raise CliError(
             "endpoint not configured: pass --base-url/--model, set "
             "SCENEKIT_LLM_BASE_URL/SCENEKIT_LLM_MODEL, or use a config file"
         )
@@ -126,14 +122,14 @@ def _library(path: str | None):
     try:
         return load_library(path) if path else builtin_library()
     except LibraryError as e:
-        raise _fail(f"cannot load example library: {e}") from e
+        raise CliError(f"cannot load example library: {e}") from e
 
 
 def _read_script(path: str) -> str:
     try:
         return Path(path).read_text()
     except OSError as e:
-        raise _fail(f"cannot read script {path!r}: {e}") from e
+        raise CliError(f"cannot read script {path!r}: {e}") from e
 
 
 def _print_json(payload) -> None:
@@ -159,7 +155,7 @@ def cmd_gen(args) -> int:
     try:
         scenario_type = ScenarioType.from_name(_pick(args.type, config, "type", None) or "")
     except ValueError as e:
-        raise _fail(str(e)) from None
+        raise CliError(str(e)) from None
     request = GenerationRequest(
         scenario_type=scenario_type,
         k_examples=int(_pick(args.examples, config, "examples", 3)),
@@ -170,7 +166,7 @@ def cmd_gen(args) -> int:
     try:
         transcript = generate_scenario(request, library, endpoint)
     except (TransportError, ApiError) as e:
-        raise _fail(str(e)) from e
+        raise CliError(str(e)) from e
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "transcript.json").write_text(transcript.to_json() + "\n")
@@ -209,7 +205,6 @@ def cmd_sim(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_trace_json(trace, out / "trace.json")
-    write_trace_bin(trace, out / "trace.bin")
     _print_json(
         {
             "termination": trace.termination,
@@ -228,28 +223,39 @@ def cmd_sim(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_DOMAIN
 
 
-def cmd_render(args) -> int:
+def _render_inputs(args):
+    """Trace, world, camera and weights named by render/bundle flags."""
     try:
         trace = read_trace_json(args.trace)
     except (OSError, ValueError, KeyError) as e:
-        raise _fail(f"cannot read trace {args.trace!r}: {e}") from e
+        raise CliError(f"cannot read trace {args.trace!r}: {e}") from e
     world = _load_world(args.map)
     camera = _load_camera(args.camera, world)
-    weights = _load_weight_spec(args.weights)
+    return trace, world, camera, _load_weight_spec(args.weights)
+
+
+def _control_maps(frame, world, camera, static, weights):
+    """One trace frame to its (seg, depth, edge, combined) control rasters."""
+    seg, depth = render_frame(frame, world, camera, static)
+    edge = edge_from_seg(seg)
+    combined = combine_controls(
+        {
+            "seg": normalize_modality(seg, "seg"),
+            "depth": normalize_modality(depth, "depth", camera.far_plane),
+            "edge": normalize_modality(edge, "edge"),
+        },
+        weights,
+    )
+    return seg, depth, edge, combined
+
+
+def cmd_render(args) -> int:
+    trace, world, camera, weights = _render_inputs(args)
     out = Path(args.out) / "frames"
     out.mkdir(parents=True, exist_ok=True)
     static = prepare_static(world, camera)
     for index, frame in enumerate(trace.frames):
-        seg, depth = render_frame(frame, world, camera, static)
-        edge = edge_from_seg(seg)
-        combined = combine_controls(
-            {
-                "seg": normalize_modality(seg, "seg"),
-                "depth": normalize_modality(depth, "depth", camera.far_plane),
-                "edge": normalize_modality(edge, "edge"),
-            },
-            weights,
-        )
+        seg, depth, edge, combined = _control_maps(frame, world, camera, static, weights)
         write_pgm(out / f"{index:06d}.seg.pgm", seg)
         write_pfm(out / f"{index:06d}.depth.pfm", depth)
         write_pgm(out / f"{index:06d}.edge.pgm", edge)
@@ -258,20 +264,12 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
-def _bundle_frames(trace, world, camera, weights, prompt, steps, strength, seed):
+def _export_trace(trace, world, camera, weights, prompt, steps, strength, seed, out) -> dict:
+    """Render, diffuse and export one trace as a bundle; returns the manifest."""
     static = prepare_static(world, camera)
     frames: list[BundleFrame] = []
     for index, frame in enumerate(trace.frames):
-        seg, depth = render_frame(frame, world, camera, static)
-        edge = edge_from_seg(seg)
-        combined = combine_controls(
-            {
-                "seg": normalize_modality(seg, "seg"),
-                "depth": normalize_modality(depth, "depth", camera.far_plane),
-                "edge": normalize_modality(edge, "edge"),
-            },
-            weights,
-        )
+        seg, depth, edge, combined = _control_maps(frame, world, camera, static, weights)
         # one latent stream per frame, offset so frames do not share noise
         latent = run_diffusion(
             MockDenoiser(), combined, prompt, steps, strength, seed=seed * 1_000_003 + index
@@ -279,7 +277,14 @@ def _bundle_frames(trace, world, camera, weights, prompt, steps, strength, seed)
         frames.append(
             BundleFrame(seg=seg, depth=depth, edge=edge, combined=combined, latent_final=latent)
         )
-    return frames
+    config = {
+        "steps": steps,
+        "strength": strength,
+        "weights": weights,
+        "camera": camera_to_dict(camera),
+        "seed": seed,
+    }
+    return export_bundle(frames, prompt, config, out, trace=trace)
 
 
 def cmd_bundle(args) -> int:
@@ -288,28 +293,14 @@ def cmd_bundle(args) -> int:
         _print_json({"bundle": args.verify, "problems": problems})
         return EXIT_OK if not problems else EXIT_DOMAIN
     if args.trace is None:
-        raise _fail("bundle needs a trace file (or --verify DIR)")
+        raise CliError("bundle needs a trace file (or --verify DIR)")
     if args.map is None or args.out is None:
-        raise _fail("bundle needs --map and --out when building")
-    try:
-        trace = read_trace_json(args.trace)
-    except (OSError, ValueError, KeyError) as e:
-        raise _fail(f"cannot read trace {args.trace!r}: {e}") from e
-    world = _load_world(args.map)
-    camera = _load_camera(args.camera, world)
-    weights = _load_weight_spec(args.weights)
-    frames = _bundle_frames(
-        trace, world, camera, weights, args.prompt, args.steps, args.strength, args.seed
+        raise CliError("bundle needs --map and --out when building")
+    trace, world, camera, weights = _render_inputs(args)
+    manifest = _export_trace(
+        trace, world, camera, weights, args.prompt, args.steps, args.strength, args.seed, args.out
     )
-    config = {
-        "steps": args.steps,
-        "strength": args.strength,
-        "weights": weights,
-        "camera": camera_to_dict(camera),
-        "seed": args.seed,
-    }
-    manifest = export_bundle(frames, args.prompt, config, args.out, trace=trace)
-    _print_json({"out": args.out, "frames": len(frames), "files": len(manifest["files"])})
+    _print_json({"out": args.out, "frames": len(trace.frames), "files": len(manifest["files"])})
     return EXIT_OK
 
 
@@ -348,7 +339,8 @@ def _run_variation(task: dict) -> dict:
             row["collision"] = trace.events[0].classification.value
         row["requirements"] = [{"text": r.text, "passed": r.passed} for r in results]
         row["passed"] = all(r.passed for r in results)
-        frames = _bundle_frames(
+        bundle_dir = Path(task["out"]) / f"var-{task['index']:03d}"
+        _export_trace(
             trace,
             world,
             camera,
@@ -357,16 +349,8 @@ def _run_variation(task: dict) -> dict:
             task["steps"],
             task["strength"],
             scenario.seed,
+            bundle_dir,
         )
-        bundle_dir = Path(task["out"]) / f"var-{task['index']:03d}"
-        bundle_config = {
-            "steps": task["steps"],
-            "strength": task["strength"],
-            "weights": task["weights"],
-            "camera": task["camera"],
-            "seed": scenario.seed,
-        }
-        export_bundle(frames, task["prompt"], bundle_config, bundle_dir, trace=trace)
         row["bundle"] = bundle_dir.name
     except Exception as e:  # noqa: BLE001 - report, do not kill the pool
         row["error"] = str(e)
@@ -381,7 +365,7 @@ def cmd_pipeline(args) -> int:
 
     map_spec = _pick(args.map, config, "map", None)
     if map_spec is None:
-        raise _fail("pipeline needs a map (--map or config)")
+        raise CliError("pipeline needs a map (--map or config)")
     world = _load_world(map_spec)
     camera = _load_camera(_pick(args.camera, config, "camera", None), world)
     weights = _load_weight_spec(_pick(args.weights, config, "weights", "preset-a"))
@@ -392,6 +376,8 @@ def cmd_pipeline(args) -> int:
     seed = int(_pick(args.seed, config, "seed", 0))
     dt = float(_pick(args.dt, config, "dt", 0.05))
     max_duration = float(_pick(args.max_duration, config, "max_duration", 30.0))
+    if args.jobs is not None and args.jobs < 1:
+        raise CliError(f"--jobs must be at least 1, got {args.jobs}")
     jobs = args.jobs or os.cpu_count() or 1
 
     script_path = _pick(args.script, config, "script", None)
@@ -403,16 +389,16 @@ def cmd_pipeline(args) -> int:
         library = _library(_pick(args.library, config, "library", None))
         type_name = _pick(args.type, config, "type", None)
         if type_name is None:
-            raise _fail("pipeline needs --script or a scenario --type for generation")
+            raise CliError("pipeline needs --script or a scenario --type for generation")
         try:
             scenario_type = ScenarioType.from_name(type_name)
         except ValueError as e:
-            raise _fail(str(e)) from None
+            raise CliError(str(e)) from None
         request = GenerationRequest(scenario_type=scenario_type, seed=seed)
         try:
             transcript = generate_scenario(request, library, endpoint)
         except (TransportError, ApiError) as e:
-            raise _fail(str(e)) from e
+            raise CliError(str(e)) from e
         (out / "transcript.json").write_text(transcript.to_json() + "\n")
         if transcript.outcome != "success":
             _print_json({"outcome": "exhausted", "rounds": len(transcript.rounds)})
@@ -478,9 +464,9 @@ def cmd_stub_llm(args) -> int:
         try:
             responses = json.loads(Path(args.responses).read_text())
         except (OSError, json.JSONDecodeError) as e:
-            raise _fail(f"cannot read responses file: {e}") from e
+            raise CliError(f"cannot read responses file: {e}") from e
         if not isinstance(responses, list) or not responses:
-            raise _fail("responses file must hold a non-empty JSON list")
+            raise CliError("responses file must hold a non-empty JSON list")
     else:
         responses = [
             "```\n"

@@ -65,8 +65,9 @@ def export_bundle(
 
     Layout: manifest.json, prompt.txt, config.json, optionally trace.json,
     and frames/NNNNNN/{seg.pgm, depth.pfm, edge.pgm, combined.pfm,
-    latent_final.pfm}.  The manifest maps every relative path (except
-    itself) to a sha256 hex digest.
+    latent_final.pfm}.  The manifest maps the relative path of every file
+    this export wrote to its sha256 hex digest, so files left in `out_dir` by
+    an earlier, longer export stay unlisted and fail `verify_bundle`.
     """
     if not frames:
         raise BundleError("bundle needs at least one frame")
@@ -83,30 +84,30 @@ def export_bundle(
     out.mkdir(parents=True, exist_ok=True)
     (out / "prompt.txt").write_text(prompt)
     (out / "config.json").write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
+    written = ["prompt.txt", "config.json"]
     if trace is not None:
         write_trace_json(trace, out / "trace.json")
+        written.append("trace.json")
     for index, frame in enumerate(frames):
-        frame_dir = out / "frames" / f"{index:06d}"
-        frame_dir.mkdir(parents=True, exist_ok=True)
-        write_pgm(frame_dir / "seg.pgm", frame.seg)
-        write_pfm(frame_dir / "depth.pfm", frame.depth)
-        write_pgm(frame_dir / "edge.pgm", frame.edge)
-        write_pfm(frame_dir / "combined.pfm", frame.combined)
-        write_pfm(frame_dir / "latent_final.pfm", frame.latent_final)
+        frame_dir = f"frames/{index:06d}"
+        (out / frame_dir).mkdir(parents=True, exist_ok=True)
+        for name, write, raster in (
+            ("seg.pgm", write_pgm, frame.seg),
+            ("depth.pfm", write_pfm, frame.depth),
+            ("edge.pgm", write_pgm, frame.edge),
+            ("combined.pfm", write_pfm, frame.combined),
+            ("latent_final.pfm", write_pfm, frame.latent_final),
+        ):
+            write(out / frame_dir / name, raster)
+            written.append(f"{frame_dir}/{name}")
 
-    manifest = {"version": 1, "files": _hash_tree(out)}
+    manifest = {"version": 1, "files": {rel: _sha256(out / rel) for rel in written}}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest
 
 
-def _hash_tree(root: Path) -> dict[str, str]:
-    files: dict[str, str] = {}
-    for path in sorted(root.rglob("*")):
-        if path.is_dir() or path.name == "manifest.json":
-            continue
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        files[path.relative_to(root).as_posix()] = digest
-    return files
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def verify_bundle(bundle_dir: str | Path) -> list[str]:
@@ -131,10 +132,12 @@ def verify_bundle(bundle_dir: str | Path) -> list[str]:
         if not path.is_file():
             problems.append(f"missing file: {rel}")
             continue
-        actual = hashlib.sha256(path.read_bytes()).hexdigest()
-        if actual != expected:
+        if _sha256(path) != expected:
             problems.append(f"hash mismatch: {rel}")
-    on_disk = set(_hash_tree(root))
-    unlisted = on_disk - set(listed)
-    problems.extend(f"unlisted file: {rel}" for rel in sorted(unlisted))
+    on_disk = {
+        path.relative_to(root).as_posix()
+        for path in root.rglob("*")
+        if not path.is_dir() and path.name != "manifest.json"
+    }
+    problems.extend(f"unlisted file: {rel}" for rel in sorted(on_disk - set(listed)))
     return problems

@@ -13,11 +13,6 @@ from dataclasses import dataclass
 
 from scenekit.dsl.diagnostics import Diagnostic, Severity, Span
 
-# Characters that may legally appear in a script, besides alphanumerics
-# and whitespace.
-_LEGAL_PUNCT = set("_-.()[]=:,#")
-
-
 class TokenKind(enum.Enum):
     WORD = "word"
     NUMBER = "number"

@@ -21,7 +21,5 @@ from scenekit.render.raster import (  # noqa: F401
     SegClass,
     edge_from_seg,
     prepare_static,
-    render_depth,
     render_frame,
-    render_segmentation,
 )

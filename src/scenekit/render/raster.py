@@ -266,24 +266,6 @@ def render_frame(
     return seg, best_t.astype(np.float32)
 
 
-def render_segmentation(
-    agents: list[AgentState],
-    world: WorldMap,
-    camera: Camera,
-    static: StaticLayers | None = None,
-) -> np.ndarray:
-    return render_frame(agents, world, camera, static)[0]
-
-
-def render_depth(
-    agents: list[AgentState],
-    world: WorldMap,
-    camera: Camera,
-    static: StaticLayers | None = None,
-) -> np.ndarray:
-    return render_frame(agents, world, camera, static)[1]
-
-
 def edge_from_seg(seg: np.ndarray) -> np.ndarray:
     """Mark pixels that have at least one 4-neighbor of strictly lower class.
 

@@ -24,10 +24,8 @@ from scenekit.sim.engine import (
 )
 from scenekit.sim.requirements import RequirementResult, check_requirements
 from scenekit.sim.traceio import (
-    read_trace_bin,
     read_trace_json,
     trace_from_dict,
     trace_to_dict,
-    write_trace_bin,
     write_trace_json,
 )

@@ -1,27 +1,19 @@
-"""Trace serialization: readable JSON and a compact binary frame log.
+"""Trace serialization as JSON.
 
-JSON carries everything (agents, frames, events, termination) and is written
-with sorted keys so identical traces give identical bytes.  The binary log
-holds the frame data only, little-endian, positions as float32: magic SKTR,
-version, dt, agent table, then per frame a float64 timestamp and per agent
-x, y, heading, speed (f32) plus an active flag byte.
+The JSON carries everything (agents, frames, events, termination) and is
+written with sorted keys so identical traces give identical bytes.
 """
 
 from __future__ import annotations
 
 import json
-import struct
 from pathlib import Path
 
 from scenekit.dsl.nodes import AgentClass
 from scenekit.sim.classify import CollisionClass
 from scenekit.sim.engine import AgentState, CollisionEvent, Trace
 
-MAGIC = b"SKTR"
 VERSION = 1
-
-_TERMINATIONS = ("collision", "script", "timeout")
-_CLASSES = tuple(AgentClass)
 
 
 def trace_to_dict(trace: Trace) -> dict:
@@ -113,83 +105,3 @@ def write_trace_json(trace: Trace, path: Path | str) -> None:
 
 def read_trace_json(path: Path | str) -> Trace:
     return trace_from_dict(json.loads(Path(path).read_text()))
-
-
-def write_trace_bin(trace: Trace, path: Path | str) -> None:
-    first = trace.frames[0]
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack(
-        "<HdIIB",
-        VERSION,
-        trace.dt,
-        len(first),
-        len(trace.frames),
-        _TERMINATIONS.index(trace.termination),
-    )
-    for s in first:
-        name = s.name.encode()
-        out += struct.pack("<H", len(name)) + name
-        out += struct.pack("<Bff", _CLASSES.index(s.klass), s.length, s.width)
-    for k, frame in enumerate(trace.frames):
-        out += struct.pack("<d", trace.frame_time(k))
-        for s in frame:
-            out += struct.pack("<ffffB", s.x, s.y, s.heading, s.speed, 1 if s.active else 0)
-    Path(path).write_bytes(bytes(out))
-
-
-def read_trace_bin(path: Path | str) -> Trace:
-    """Read a binary frame log.
-
-    Floats come back as float32 values and behavior_state is not stored in
-    this format, so round trips are exact in bytes but not in float64.
-    """
-    raw = Path(path).read_bytes()
-    if raw[:4] != MAGIC:
-        raise ValueError(f"{path}: not a trace log (bad magic {raw[:4]!r})")
-    offset = 4
-    version, dt, n_agents, n_frames, term_code = struct.unpack_from("<HdIIB", raw, offset)
-    offset += struct.calcsize("<HdIIB")
-    if version != VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
-
-    meta = []
-    for _ in range(n_agents):
-        (name_len,) = struct.unpack_from("<H", raw, offset)
-        offset += 2
-        name = raw[offset : offset + name_len].decode()
-        offset += name_len
-        cls_idx, length, width = struct.unpack_from("<Bff", raw, offset)
-        offset += struct.calcsize("<Bff")
-        meta.append((name, _CLASSES[cls_idx], length, width))
-
-    frames = []
-    for _ in range(n_frames):
-        (_t,) = struct.unpack_from("<d", raw, offset)
-        offset += 8
-        states = []
-        for name, klass, length, width in meta:
-            x, y, heading, speed, active = struct.unpack_from("<ffffB", raw, offset)
-            offset += struct.calcsize("<ffffB")
-            states.append(
-                AgentState(
-                    name=name,
-                    klass=klass,
-                    x=x,
-                    y=y,
-                    heading=heading,
-                    speed=speed,
-                    length=length,
-                    width=width,
-                    behavior_state="",
-                    active=bool(active),
-                )
-            )
-        frames.append(tuple(states))
-    return Trace(
-        map_name="",
-        dt=dt,
-        frames=frames,
-        events=[],
-        termination=_TERMINATIONS[term_code],
-    )

@@ -106,6 +106,17 @@ class WorldMap:
         return best
 
 
+def _number(value, where: str) -> float:
+    """A finite float from a JSON field, or MapError naming the field."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise MapError(f"{where}: expected a finite number, got {value!r}")
+    return number
+
+
 def load_map(path: Path | str) -> WorldMap:
     path = Path(path)
     try:
@@ -115,7 +126,7 @@ def load_map(path: Path | str) -> WorldMap:
     except json.JSONDecodeError as e:
         raise MapError(f"malformed map JSON in {path}: {e}") from None
 
-    if "lanes" not in raw or not isinstance(raw["lanes"], list):
+    if not isinstance(raw, dict) or not isinstance(raw.get("lanes"), list):
         raise MapError(f"{path}: expected a 'lanes' list")
     lanes: dict[str, Lane] = {}
     for entry in raw["lanes"]:
@@ -124,10 +135,18 @@ def load_map(path: Path | str) -> WorldMap:
                 raise MapError(f"{path}: lane entry missing {key!r}")
         if entry["id"] in lanes:
             raise MapError(f"{path}: duplicate lane id {entry['id']!r}")
+        where = f"{path}: lane {entry['id']!r}"
+        try:
+            centerline = tuple(
+                (_number(x, f"{where} centerline"), _number(y, f"{where} centerline"))
+                for x, y in entry["centerline"]
+            )
+        except (TypeError, ValueError):
+            raise MapError(f"{where}: centerline must be a list of [x, y] points") from None
         lanes[entry["id"]] = Lane(
             id=entry["id"],
-            width=float(entry["width"]),
-            centerline=tuple((float(x), float(y)) for x, y in entry["centerline"]),
+            width=_number(entry["width"], f"{where} width"),
+            centerline=centerline,
             successors=tuple(entry.get("successors", ())),
         )
     for lane in lanes.values():
@@ -137,7 +156,12 @@ def load_map(path: Path | str) -> WorldMap:
 
     anchors = {}
     for name, a in raw.get("anchors", {}).items():
-        anchors[name] = Pose(float(a["x"]), float(a["y"]), math.radians(float(a.get("heading_deg", 0.0))))
+        where = f"{path}: anchor {name!r}"
+        anchors[name] = Pose(
+            _number(a.get("x"), f"{where} x"),
+            _number(a.get("y"), f"{where} y"),
+            math.radians(_number(a.get("heading_deg", 0.0), f"{where} heading_deg")),
+        )
     return WorldMap(name=raw.get("name", path.stem), lanes=lanes, anchors=anchors)
 
 

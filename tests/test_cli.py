@@ -167,7 +167,6 @@ def test_sim_rear_end_fixture(tmp_path, capsys):
     assert report["events"][0]["classification"] == "rear-end"
     assert all(r["passed"] for r in report["requirements"])
     assert (tmp_path / "s" / "trace.json").is_file()
-    assert (tmp_path / "s" / "trace.bin").is_file()
 
 
 def test_sim_requirement_failure(tmp_path, capsys):
@@ -199,6 +198,17 @@ def test_sim_missing_map(tmp_path, capsys):
     assert "cannot load map" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("width", ['"wide"', "NaN"])
+def test_sim_rejects_bad_lane_width_as_env_failure(tmp_path, capsys, width):
+    world = tmp_path / "bad.map.json"
+    world.write_text(
+        '{"lanes": [{"id": "main_a", "width": %s, "centerline": [[0, 0], [100, 0]]}]}' % width
+    )
+    code = main(["sim", str(FIXTURES / "rear_end.scn"), "--map", str(world), "-o", str(tmp_path / "s")])
+    assert code == 2
+    assert "width" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
 def test_sim_trace_bytes_deterministic(tmp_path):
     for name in ("one", "two"):
         code = main(
@@ -214,7 +224,6 @@ def test_sim_trace_bytes_deterministic(tmp_path):
             ]
         )
         assert code == 0
-    assert (tmp_path / "one" / "trace.bin").read_bytes() == (tmp_path / "two" / "trace.bin").read_bytes()
     assert (tmp_path / "one" / "trace.json").read_bytes() == (tmp_path / "two" / "trace.json").read_bytes()
 
 
@@ -339,6 +348,18 @@ def test_bundle_missing_args(capsys):
     assert main(["bundle"]) == 2
     assert "bundle needs" in capsys.readouterr().err
 
+
+def test_render_and_bundle_write_identical_rasters(tmp_path, short_trace):
+    camera = _small_camera(tmp_path, center=(30.0, 0.0))
+    shared = [str(short_trace), "--map", "straight", "--camera", camera, "--weights", "preset-b"]
+    assert main(["render", *shared, "-o", str(tmp_path / "r")]) == 0
+    assert main(["bundle", *shared, "--steps", "2", "-o", str(tmp_path / "b")]) == 0
+    n = len(json.loads(short_trace.read_text())["frames"])
+    for index in range(n):
+        for name in ("seg.pgm", "depth.pfm", "edge.pgm", "combined.pfm"):
+            rendered = tmp_path / "r" / "frames" / f"{index:06d}.{name}"
+            bundled = tmp_path / "b" / "frames" / f"{index:06d}" / name
+            assert rendered.read_bytes() == bundled.read_bytes(), (index, name)
 
 # --- pipeline -----------------------------------------------------------
 
@@ -492,6 +513,12 @@ def test_pipeline_summary_identical_across_job_counts(tmp_path, variation_script
         outs[1] / "var-002" / "manifest.json"
     ).read_bytes()
 
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_pipeline_rejects_jobs_below_one(tmp_path, variation_script, capsys, jobs):
+    code = main(_pipeline_args(tmp_path, variation_script, tmp_path / "out", ["--jobs", jobs]))
+    assert code == 2
+    assert "--jobs must be at least 1" in capsys.readouterr().err
 
 def test_pipeline_config_file_and_flag_precedence(tmp_path, variation_script):
     camera = _small_camera(tmp_path)

@@ -1,7 +1,6 @@
 """Modality normalization and weighted control combination."""
 
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +12,6 @@ from scenekit.render import (
     load_weights,
     normalize_modality,
 )
-
-PRESET_DIR = Path(__file__).parent.parent / "src" / "scenekit" / "data" / "presets"
 
 
 def test_normalize_depth_endpoints():
@@ -153,9 +150,3 @@ def test_load_weights_rejects_bad_values(tmp_path):
     path.write_text(json.dumps({"thermal": 0.5}))
     with pytest.raises(ValueError, match="unknown modality"):
         load_weights(path)
-
-
-def test_shipped_preset_files_match_table():
-    for name, weights in PRESETS.items():
-        on_disk = json.loads((PRESET_DIR / f"{name}.json").read_text())
-        assert on_disk == weights, name

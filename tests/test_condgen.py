@@ -277,6 +277,16 @@ def test_verify_detects_tamper_missing_and_stray(tmp_path):
     assert any("unlisted file" in p for p in problems)
 
 
+def test_shorter_reexport_leaves_stale_frames_unlisted(tmp_path):
+    root = tmp_path / "b"
+    export_bundle([_frame(i) for i in range(3)], "p", CONFIG, root)
+    manifest = export_bundle([_frame(0)], "p", CONFIG, root)
+    assert len(manifest["files"]) == 5 + 2  # one frame's rasters + prompt + config
+    problems = verify_bundle(root)
+    assert len(problems) == 2 * 5
+    assert all(p.startswith("unlisted file: frames/00000") for p in problems)
+    assert "unlisted file: frames/000002/latent_final.pfm" in problems
+
 def test_verify_without_manifest(tmp_path):
     assert verify_bundle(tmp_path) == [f"no manifest.json in {tmp_path}"]
 

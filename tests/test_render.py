@@ -15,9 +15,7 @@ from scenekit.render import (
     camera_to_dict,
     edge_from_seg,
     prepare_static,
-    render_depth,
     render_frame,
-    render_segmentation,
 )
 from scenekit.render.cameras import CameraError
 from scenekit.sim.engine import AgentState
@@ -86,18 +84,18 @@ def test_car_pixel_count_matches_area():
     # 4.5 m x 2.0 m at 0.1 m/px covers 45x20 = 900 pixels up to boundary
     # rasterization, bounded by the perimeter pixel count 2*(45+20)-4.
     camera = TopDownCamera(0.0, 0.0)
-    seg = render_segmentation([_agent("ego", AgentClass.CAR, 0.0, 0.0)], EMPTY_WORLD, camera)
+    seg = render_frame([_agent("ego", AgentClass.CAR, 0.0, 0.0)], EMPTY_WORLD, camera)[0]
     count = int((seg == SegClass.VEHICLE).sum())
     assert abs(count - 900) <= 2 * (45 + 20) - 4
 
 
 def test_rotated_car_same_area():
     camera = TopDownCamera(0.0, 0.0)
-    seg = render_segmentation(
+    seg = render_frame(
         [_agent("ego", AgentClass.CAR, 0.0, 0.0, heading=math.radians(37.0))],
         EMPTY_WORLD,
         camera,
-    )
+    )[0]
     count = int((seg == SegClass.VEHICLE).sum())
     assert abs(count - 900) <= 180  # rotated boundary can alias a bit more
 
@@ -120,12 +118,12 @@ def test_agents_paint_over_road_and_higher_class_wins():
     camera = TopDownCamera(10.0, 0.0, width=64, height=64)
     car = _agent("ego", AgentClass.CAR, 10.0, 0.0)
     walker = _agent("w", AgentClass.PEDESTRIAN, 10.0, 0.0)
-    seg = render_segmentation([walker, car], world, camera)
+    seg = render_frame([walker, car], world, camera)[0]
     # The pedestrian footprint sits inside the car footprint; its higher
     # class id must still win regardless of list order.
     assert (seg == SegClass.PEDESTRIAN).sum() > 0
     assert (seg == SegClass.VEHICLE).sum() > 0
-    seg2 = render_segmentation([car, walker], world, camera)
+    seg2 = render_frame([car, walker], world, camera)[0]
     assert (seg == seg2).all()
 
 
@@ -133,7 +131,7 @@ def test_ground_classes_match_bruteforce_oracle():
     # Re-derive every pixel's class with plain point-to-segment math.
     world = builtin_map("straight")
     camera = TopDownCamera(10.0, 1.75, meters_per_pixel=0.1, width=48, height=72)
-    seg = render_segmentation([], world, camera)
+    seg = render_frame([], world, camera)[0]
 
     def dist_to_segment(px, py, ax, ay, bx, by):
         vx, vy = bx - ax, by - ay
@@ -292,7 +290,7 @@ def test_edge_matches_bruteforce_oracle_on_random_rasters():
 def test_edge_pixels_sit_on_class_boundaries():
     world = builtin_map("crossing")
     camera = TopDownCamera(0.0, 0.0, width=96, height=96)
-    seg = render_segmentation([_agent("ego", AgentClass.CAR, -4.0, -1.75)], world, camera)
+    seg = render_frame([_agent("ego", AgentClass.CAR, -4.0, -1.75)], world, camera)[0]
     edge = edge_from_seg(seg)
     h, w = seg.shape
     for i, j in zip(*np.nonzero(edge)):
@@ -307,5 +305,5 @@ def test_edge_pixels_sit_on_class_boundaries():
 def test_edge_values_are_binary():
     world = builtin_map("straight")
     camera = TopDownCamera(10.0, 1.75, width=64, height=64)
-    edge = edge_from_seg(render_segmentation([], world, camera))
+    edge = edge_from_seg(render_frame([], world, camera)[0])
     assert set(np.unique(edge)) <= {0, 1}

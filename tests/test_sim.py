@@ -25,10 +25,8 @@ from scenekit.sim.geometry import (
 )
 from scenekit.sim.requirements import check_requirements
 from scenekit.sim.traceio import (
-    read_trace_bin,
     read_trace_json,
     trace_to_dict,
-    write_trace_bin,
     write_trace_json,
 )
 from scenekit.sim.worldmap import MapError, WorldMap, builtin_map, load_map
@@ -513,22 +511,3 @@ def test_trace_json_round_trip_is_exact(tmp_path):
     from_json = read_trace_json(tmp_path / "t.json")
     assert trace_to_dict(from_json) == trace_to_dict(trace)
     assert from_json.events[0].classification is CollisionClass.REAR_END
-
-
-def test_trace_binary_keeps_frames_to_float32(tmp_path):
-    # The binary log stores only the frame kinematics (float32); events and
-    # behavior labels live in the JSON.  A second write of the reread log
-    # must be byte-identical.
-    _, trace = _fixture_trace("rear_end", "straight")
-    write_trace_bin(trace, tmp_path / "t.bin")
-    reread = read_trace_bin(tmp_path / "t.bin")
-    assert reread.termination == trace.termination
-    assert reread.dt == trace.dt
-    assert len(reread.frames) == len(trace.frames)
-    for fa, fb in zip(trace.frames, reread.frames):
-        for sa, sb in zip(fa, fb):
-            assert sb.name == sa.name and sb.klass is sa.klass
-            assert sb.x == np.float32(sa.x) and sb.y == np.float32(sa.y)
-            assert sb.active == sa.active
-    write_trace_bin(reread, tmp_path / "t2.bin")
-    assert (tmp_path / "t.bin").read_bytes() == (tmp_path / "t2.bin").read_bytes()

@@ -72,7 +72,7 @@ def _load_camera(spec: str | None, world: WorldMap) -> Camera:
         return camera_from_dict(data)
     except OSError as e:
         raise CliError(f"cannot read camera file {spec!r}: {e}") from e
-    except (json.JSONDecodeError, CameraError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, CameraError) as e:
         raise CliError(f"bad camera config {spec!r}: {e}") from e
 
 
@@ -83,12 +83,22 @@ def _load_weight_spec(spec: str) -> dict[str, float]:
         raise CliError(f"bad weights {spec!r}: {e}") from e
 
 
+def _check_diffusion_args(prompt: str, steps: int, strength: float) -> None:
+    """Reject denoising flags that `run_diffusion` would refuse, before rendering."""
+    if steps < 1:
+        raise CliError(f"--steps must be at least 1, got {steps}")
+    if not 0.0 <= strength <= 1.0:  # also false for NaN
+        raise CliError(f"--strength must be in [0, 1], got {strength}")
+    if not prompt:
+        raise CliError("--prompt must be non-empty")
+
+
 def _read_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CliError(f"cannot read config file {path!r}: {e}") from e
     if not isinstance(data, dict):
         raise CliError(f"config file {path!r} must hold a JSON object")
@@ -128,7 +138,7 @@ def _library(path: str | None):
 def _read_script(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise CliError(f"cannot read script {path!r}: {e}") from e
 
 
@@ -296,6 +306,7 @@ def cmd_bundle(args) -> int:
         raise CliError("bundle needs a trace file (or --verify DIR)")
     if args.map is None or args.out is None:
         raise CliError("bundle needs --map and --out when building")
+    _check_diffusion_args(args.prompt, args.steps, args.strength)
     trace, world, camera, weights = _render_inputs(args)
     manifest = _export_trace(
         trace, world, camera, weights, args.prompt, args.steps, args.strength, args.seed, args.out
@@ -376,6 +387,7 @@ def cmd_pipeline(args) -> int:
     seed = int(_pick(args.seed, config, "seed", 0))
     dt = float(_pick(args.dt, config, "dt", 0.05))
     max_duration = float(_pick(args.max_duration, config, "max_duration", 30.0))
+    _check_diffusion_args(prompt, steps, strength)
     if args.jobs is not None and args.jobs < 1:
         raise CliError(f"--jobs must be at least 1, got {args.jobs}")
     jobs = args.jobs or os.cpu_count() or 1
@@ -463,7 +475,7 @@ def cmd_stub_llm(args) -> int:
     if args.responses is not None:
         try:
             responses = json.loads(Path(args.responses).read_text())
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
             raise CliError(f"cannot read responses file: {e}") from e
         if not isinstance(responses, list) or not responses:
             raise CliError("responses file must hold a non-empty JSON list")

@@ -68,7 +68,8 @@ class MockDenoiser:
     those factors down to t = 1 is zero.  When `prompt_sensitivity` is on, a
     constant derived from the prompt hash (at most 0.001 in magnitude) is
     added after each step, so different prompts give different but still
-    deterministic outputs.
+    deterministic outputs.  The step runs in float32 and returns a new
+    float32 raster; the caller's `z` and `control` are left untouched.
     """
 
     def __init__(self, prompt_sensitivity: bool = True):
@@ -79,10 +80,14 @@ class MockDenoiser:
     ) -> np.ndarray:
         if z.shape != control.shape:
             raise DimensionMismatch(f"latent {z.shape} vs control {control.shape}")
-        out = z + (1.0 / t) * (strength * control.astype(np.float64) - z)
+        # one fresh float32 buffer, then in place: no float64 temporaries
+        out = np.multiply(control, np.float32(strength), dtype=np.float32)
+        out -= z
+        out *= np.float32(1.0 / t)
+        out += z
         if self.prompt_sensitivity:
-            out = out + prompt_offset(prompt)
-        return out.astype(np.float32)
+            out += np.float32(prompt_offset(prompt))
+        return out
 
 
 def prompt_offset(prompt: str) -> float:

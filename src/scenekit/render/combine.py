@@ -39,10 +39,11 @@ def normalize_modality(raster: np.ndarray, kind: str, far_plane: float = DEFAULT
     edge: already binary, passed through.
     """
     if kind == "seg":
-        return raster.astype(np.float32) / np.float32(PALETTE_SIZE - 1)
+        return np.divide(raster, np.float32(PALETTE_SIZE - 1), dtype=np.float32)
     if kind == "depth":
-        scaled = np.clip(raster.astype(np.float32) / np.float32(far_plane), 0.0, 1.0)
-        return (1.0 - scaled).astype(np.float32)
+        out = np.divide(raster, np.float32(far_plane), dtype=np.float32)
+        np.clip(out, 0.0, 1.0, out=out)
+        return np.subtract(1.0, out, out=out)
     if kind == "edge":
         return raster.astype(np.float32)
     raise ValueError(f"unknown modality {kind!r}; expected one of {MODALITIES}")
@@ -51,8 +52,8 @@ def normalize_modality(raster: np.ndarray, kind: str, far_plane: float = DEFAULT
 def combine_controls(maps: dict[str, np.ndarray], weights: dict[str, float]) -> np.ndarray:
     """Per-pixel weighted sum C = sum_m w_m * C_m over present modalities.
 
-    No renormalization by the weight total.  Every weight must name a
-    present modality and all rasters must share one shape.
+    Accumulates in float32; no renormalization by the weight total.  Every
+    weight must name a present modality and all rasters must share one shape.
     """
     if not maps:
         raise DimensionMismatch("no modalities to combine")
@@ -64,11 +65,13 @@ def combine_controls(maps: dict[str, np.ndarray], weights: dict[str, float]) -> 
     extra = set(weights) - set(maps)
     if extra:
         raise DimensionMismatch(f"weights for absent modalities: {sorted(extra)}")
-    out = np.zeros(first, dtype=np.float64)
+    out = np.zeros(first, dtype=np.float32)
+    term = np.empty(first, dtype=np.float32)
     for name in MODALITIES:  # fixed order so float summation is reproducible
         if name in maps and name in weights:
-            out += float(weights[name]) * maps[name].astype(np.float64)
-    return out.astype(np.float32)
+            np.multiply(maps[name], np.float32(weights[name]), out=term, dtype=np.float32)
+            out += term
+    return out
 
 
 def load_weights(source: str | Path) -> dict[str, float]:

@@ -123,16 +123,20 @@ def load_map(path: Path | str) -> WorldMap:
         raw = json.loads(path.read_text())
     except FileNotFoundError:
         raise MapError(f"map file not found: {path}") from None
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise MapError(f"malformed map JSON in {path}: {e}") from None
 
     if not isinstance(raw, dict) or not isinstance(raw.get("lanes"), list):
         raise MapError(f"{path}: expected a 'lanes' list")
     lanes: dict[str, Lane] = {}
     for entry in raw["lanes"]:
+        if not isinstance(entry, dict):
+            raise MapError(f"{path}: lane entry must be an object, got {entry!r}")
         for key in ("id", "width", "centerline"):
             if key not in entry:
                 raise MapError(f"{path}: lane entry missing {key!r}")
+        if not isinstance(entry["id"], str):
+            raise MapError(f"{path}: lane id must be a string, got {entry['id']!r}")
         if entry["id"] in lanes:
             raise MapError(f"{path}: duplicate lane id {entry['id']!r}")
         where = f"{path}: lane {entry['id']!r}"
@@ -143,20 +147,28 @@ def load_map(path: Path | str) -> WorldMap:
             )
         except (TypeError, ValueError):
             raise MapError(f"{where}: centerline must be a list of [x, y] points") from None
+        successors = entry.get("successors", [])
+        if not isinstance(successors, list) or not all(isinstance(n, str) for n in successors):
+            raise MapError(f"{where}: successors must be a list of lane ids")
         lanes[entry["id"]] = Lane(
             id=entry["id"],
             width=_number(entry["width"], f"{where} width"),
             centerline=centerline,
-            successors=tuple(entry.get("successors", ())),
+            successors=tuple(successors),
         )
     for lane in lanes.values():
         for succ in lane.successors:
             if succ not in lanes:
                 raise MapError(f"lane {lane.id!r}: unknown successor {succ!r}")
 
+    raw_anchors = raw.get("anchors", {})
+    if not isinstance(raw_anchors, dict):
+        raise MapError(f"{path}: 'anchors' must be an object of named poses")
     anchors = {}
-    for name, a in raw.get("anchors", {}).items():
+    for name, a in raw_anchors.items():
         where = f"{path}: anchor {name!r}"
+        if not isinstance(a, dict):
+            raise MapError(f"{where}: expected an object with x, y, heading_deg")
         anchors[name] = Pose(
             _number(a.get("x"), f"{where} x"),
             _number(a.get("y"), f"{where} y"),

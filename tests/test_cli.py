@@ -308,6 +308,24 @@ def test_render_unknown_preset(tmp_path, short_trace, capsys):
     assert "bad weights" in capsys.readouterr().err
 
 
+def test_render_rejects_non_utf8_camera_file(tmp_path, short_trace, capsys):
+    camera = tmp_path / "camera.json"
+    camera.write_bytes(b'{"variant": "\xff\xfe"}')
+    code = main(
+        ["render", str(short_trace), "--map", "straight", "--camera", str(camera), "-o", str(tmp_path / "r")]
+    )
+    assert code == 2
+    assert "bad camera config" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_validate_rejects_non_utf8_script(tmp_path, capsys):
+    script = tmp_path / "bad.scn"
+    script.write_bytes(b"ego = new Car at (0.0, 0.0) \xff\xfe\n")
+    assert main(["validate", str(script)]) == 2
+    assert "cannot read script" in capsys.readouterr().err
+
+
 def test_render_bad_trace_path(tmp_path, capsys):
     code = main(
         ["render", str(tmp_path / "nope.json"), "--map", "straight", "-o", str(tmp_path / "r")]
@@ -347,6 +365,25 @@ def test_bundle_build_and_verify(tmp_path, short_trace):
 def test_bundle_missing_args(capsys):
     assert main(["bundle"]) == 2
     assert "bundle needs" in capsys.readouterr().err
+
+
+BAD_DIFFUSION_FLAGS = [
+    (["--steps", "0"], "--steps"),
+    (["--steps", "-3"], "--steps"),
+    (["--strength", "nan"], "--strength"),
+    (["--strength", "1.5"], "--strength"),
+    (["--strength", "-0.1"], "--strength"),
+    (["--prompt", ""], "--prompt"),
+]
+
+
+@pytest.mark.parametrize("flags,name", BAD_DIFFUSION_FLAGS)
+def test_bundle_rejects_bad_diffusion_flags(tmp_path, short_trace, capsys, flags, name):
+    out = tmp_path / "b"
+    code = main(["bundle", str(short_trace), "--map", "straight", *flags, "-o", str(out)])
+    assert code == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_render_and_bundle_write_identical_rasters(tmp_path, short_trace):
@@ -519,6 +556,16 @@ def test_pipeline_rejects_jobs_below_one(tmp_path, variation_script, capsys, job
     code = main(_pipeline_args(tmp_path, variation_script, tmp_path / "out", ["--jobs", jobs]))
     assert code == 2
     assert "--jobs must be at least 1" in capsys.readouterr().err
+
+@pytest.mark.parametrize("flags,name", BAD_DIFFUSION_FLAGS)
+def test_pipeline_rejects_bad_diffusion_flags(tmp_path, variation_script, capsys, flags, name):
+    out = tmp_path / "out"
+    code = main(_pipeline_args(tmp_path, variation_script, out, ["-n", "2", *flags]))
+    assert code == 2
+    assert name in capsys.readouterr().err
+    assert not (out / "var-000").exists()
+    assert not (out / "summary.json").exists()
+
 
 def test_pipeline_config_file_and_flag_precedence(tmp_path, variation_script):
     camera = _small_camera(tmp_path)

@@ -89,6 +89,32 @@ def test_combination_matches_per_pixel_oracle():
             assert abs(float(out[i, j]) - expected) <= 1e-6, name
 
 
+def test_full_raster_matches_float64_oracle_for_every_preset():
+    # Every pixel of a 512x512 raster, normalized and combined in float32,
+    # against the same sum taken in float64 from the raw rasters.
+    rng = np.random.default_rng(41)
+    shape = (512, 512)
+    far = 100.0
+    seg = rng.integers(0, 6, size=shape).astype(np.uint8)
+    depth = (rng.random(shape, dtype=np.float32) * 120.0).astype(np.float32)
+    edge = rng.integers(0, 2, size=shape).astype(np.uint8)
+    normalized = {
+        "seg": normalize_modality(seg, "seg"),
+        "depth": normalize_modality(depth, "depth", far_plane=far),
+        "edge": normalize_modality(edge, "edge"),
+    }
+    oracle = {
+        "seg": seg.astype(np.float64) / 5.0,
+        "depth": 1.0 - np.minimum(depth.astype(np.float64) / far, 1.0),
+        "edge": edge.astype(np.float64),
+    }
+    for name, weights in PRESETS.items():
+        out = combine_controls(normalized, weights)
+        assert out.dtype == np.float32 and out.shape == shape
+        expected = sum(weights[m] * oracle[m] for m in ("seg", "depth", "edge") if m in weights)
+        assert float(np.abs(out - expected).max()) <= 1e-6, name
+
+
 def test_linearity_in_weights():
     rng = np.random.default_rng(23)
     maps = {"depth": rng.random((16, 16)).astype(np.float32), "edge": rng.random((16, 16)).astype(np.float32)}

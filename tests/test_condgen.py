@@ -4,6 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from scenekit.condgen import (
     BackendError,
@@ -205,6 +208,37 @@ def test_mock_rejects_dimension_mismatch():
     backend = MockDenoiser()
     with pytest.raises(DimensionMismatch):
         backend.denoise(np.zeros((4, 4)), np.zeros((4, 5)), 1, "p", 0.5)
+
+
+@st.composite
+def _denoise_inputs(draw):
+    shape = draw(array_shapes(min_dims=1, max_dims=3, max_side=12))
+    # latents the loop sees stay within a few units of zero; controls are [0, 1]
+    z = draw(arrays(np.float32, shape, elements=st.floats(-2.0, 2.0, width=32)))
+    control = draw(arrays(np.float32, shape, elements=st.floats(0.0, 1.0, width=32)))
+    return z, control
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    inputs=_denoise_inputs(),
+    t=st.integers(1, 1000),
+    strength=st.floats(0.0, 1.0),
+    prompt=st.text(min_size=1, max_size=20),
+    sensitive=st.booleans(),
+)
+def test_denoise_float32_step_matches_float64_reference(inputs, t, strength, prompt, sensitive):
+    z, control = inputs
+    z_before, control_before = z.copy(), control.copy()
+    out = MockDenoiser(prompt_sensitivity=sensitive).denoise(z, control, t, prompt, strength)
+    assert out.dtype == np.float32
+    assert out.shape == z.shape
+    assert np.array_equal(z, z_before) and np.array_equal(control, control_before)
+    z64 = z.astype(np.float64)
+    reference = z64 + (1.0 / t) * (strength * control.astype(np.float64) - z64)
+    if sensitive:
+        reference += prompt_offset(prompt)
+    assert float(np.abs(out - reference).max()) <= 1e-6
 
 
 # --- bundles ------------------------------------------------------------

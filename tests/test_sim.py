@@ -1,5 +1,6 @@
 """Collision geometry, the classifier, maps, and the fixed-step engine."""
 
+import json
 import math
 import random
 from pathlib import Path
@@ -270,6 +271,47 @@ def test_map_validation_errors(tmp_path):
         path.write_text(__import__("json").dumps(doc))
         with pytest.raises(MapError):
             load_map(path)
+
+
+_LANE = {"id": "a", "width": 3.5, "centerline": [[0, 0], [10, 0]]}
+
+
+def _write_map(tmp_path, doc):
+    path = tmp_path / "m.map.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_map_anchors_must_be_an_object(tmp_path):
+    path = _write_map(tmp_path, {"lanes": [_LANE], "anchors": []})
+    with pytest.raises(MapError, match="anchors"):
+        load_map(path)
+
+
+def test_map_anchor_value_must_be_an_object(tmp_path):
+    path = _write_map(tmp_path, {"lanes": [_LANE], "anchors": {"center": 5}})
+    with pytest.raises(MapError, match="anchor 'center'"):
+        load_map(path)
+
+
+def test_map_lane_entry_must_be_an_object(tmp_path):
+    path = _write_map(tmp_path, {"lanes": [5]})
+    with pytest.raises(MapError, match="lane entry must be an object"):
+        load_map(path)
+
+
+def test_map_lane_id_and_successors_must_be_strings(tmp_path):
+    for lane in ({**_LANE, "id": [1]}, {**_LANE, "successors": 5}, {**_LANE, "successors": [[1]]}):
+        path = _write_map(tmp_path, {"lanes": [lane]})
+        with pytest.raises(MapError):
+            load_map(path)
+
+
+def test_map_file_must_be_utf8(tmp_path):
+    path = tmp_path / "m.map.json"
+    path.write_bytes(b'{"name": "\xff\xfe", "lanes": []}')
+    with pytest.raises(MapError, match="malformed"):
+        load_map(path)
 
 
 # --- engine: fixture scenarios ----------------------------------------

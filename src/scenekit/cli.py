@@ -237,7 +237,7 @@ def _render_inputs(args):
     """Trace, world, camera and weights named by render/bundle flags."""
     try:
         trace = read_trace_json(args.trace)
-    except (OSError, ValueError, KeyError) as e:
+    except (OSError, ValueError) as e:
         raise CliError(f"cannot read trace {args.trace!r}: {e}") from e
     world = _load_world(args.map)
     camera = _load_camera(args.camera, world)

@@ -12,24 +12,20 @@ from scenekit.dsl.nodes import (
     Action,
     ActionKind,
     AgentClass,
-    AheadOf,
-    Always,
     Absolute,
-    Behind,
     BehaviorDef,
     BehaviorRef,
     Choice,
     Constant,
     DistanceToEgoBelow,
-    LeftOf,
     ObjectDecl,
     OnLane,
     ParamDecl,
     ParamRef,
     Range,
+    Relative,
     RequireCollision,
     RequireEgoSpeedAbove,
-    RightOf,
     ScenarioAst,
     TimeElapsed,
 )

@@ -13,21 +13,17 @@ from scenekit.dsl.nodes import (
     Absolute,
     Action,
     ActionKind,
-    AheadOf,
-    Always,
-    Behind,
     BehaviorDef,
     Choice,
     Constant,
     DistanceToEgoBelow,
-    LeftOf,
     ObjectDecl,
     OnLane,
     ParamRef,
     Range,
+    Relative,
     RequireCollision,
     RequireEgoSpeedAbove,
-    RightOf,
     Scalar,
     ScenarioAst,
     TimeElapsed,
@@ -72,7 +68,7 @@ def _num(v: float) -> str:
 def _behavior(b: BehaviorDef) -> str:
     header = f"behavior {b.name}({', '.join(b.params)}):"
     body = _action(b.action)
-    if not isinstance(b.trigger, Always):
+    if b.trigger is not None:
         body += f" when {_trigger(b.trigger)}"
     return f"{header}\n{_INDENT}{body}"
 
@@ -100,8 +96,6 @@ def _trigger(t: Trigger) -> str:
         return f"distance from {t.obj} to ego below {_scalar(t.meters)}"
     if isinstance(t, TimeElapsed):
         return f"time above {_scalar(t.seconds)}"
-    if isinstance(t, Always):
-        return "always"
     raise TypeError(f"unknown trigger {t!r}")
 
 
@@ -123,14 +117,9 @@ def _spatial(s) -> str:
         if s.heading != Constant(0.0):
             base += f" facing {_scalar(s.heading)}"
         return base
-    if isinstance(s, AheadOf):
-        return f"ahead of {s.ref} by {_scalar(s.distance)}"
-    if isinstance(s, Behind):
-        return f"behind {s.ref} by {_scalar(s.distance)}"
-    if isinstance(s, LeftOf):
-        return f"left of {s.ref} by {_scalar(s.offset)}"
-    if isinstance(s, RightOf):
-        return f"right of {s.ref} by {_scalar(s.offset)}"
+    if isinstance(s, Relative):
+        of = "" if s.kind == "behind" else " of"
+        return f"{s.kind}{of} {s.ref} by {_scalar(s.amount)}"
     if isinstance(s, OnLane):
         return f"on lane {s.lane} at {_scalar(s.s)}"
     raise TypeError(f"unknown spatial spec {s!r}")

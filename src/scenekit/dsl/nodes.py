@@ -8,6 +8,7 @@ Headings in the surface language are degrees, counter-clockwise, 0 = +x.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from scenekit.dsl.diagnostics import Span
@@ -93,27 +94,15 @@ class Absolute:
 
 
 @dataclass(frozen=True)
-class AheadOf:
+class Relative:
+    """`ahead of`, `behind`, `left of` or `right of` REF `by` AMOUNT.
+
+    kind is "ahead", "behind", "left" or "right", the kinds the sim places by.
+    """
+
+    kind: str
     ref: str
-    distance: Scalar
-
-
-@dataclass(frozen=True)
-class Behind:
-    ref: str
-    distance: Scalar
-
-
-@dataclass(frozen=True)
-class LeftOf:
-    ref: str
-    offset: Scalar
-
-
-@dataclass(frozen=True)
-class RightOf:
-    ref: str
-    offset: Scalar
+    amount: Scalar
 
 
 @dataclass(frozen=True)
@@ -122,7 +111,7 @@ class OnLane:
     s: Scalar
 
 
-SpatialSpec = Absolute | AheadOf | Behind | LeftOf | RightOf | OnLane
+SpatialSpec = Absolute | Relative | OnLane
 
 
 # --------------------------------------------------------------------------
@@ -145,12 +134,7 @@ class TimeElapsed:
     seconds: Scalar
 
 
-@dataclass(frozen=True)
-class Always:
-    pass
-
-
-Trigger = DistanceToEgoBelow | TimeElapsed | Always
+Trigger = DistanceToEgoBelow | TimeElapsed
 
 
 # --------------------------------------------------------------------------
@@ -178,7 +162,7 @@ class BehaviorDef:
     name: str
     params: tuple[str, ...]
     action: Action
-    trigger: Trigger = Always()
+    trigger: Trigger | None = None  # None: `when always`, or no `when` clause
     span: Span = field(default=_NO_SPAN, compare=False)
 
 
@@ -237,12 +221,22 @@ class ScenarioAst:
     requirements: tuple[Requirement, ...] = ()
     termination: Trigger | None = None
 
-    def object_named(self, name: str) -> ObjectDecl | None:
-        for obj in self.objects:
-            if obj.name == name:
-                return obj
-        return None
 
-    @property
-    def ego(self) -> ObjectDecl | None:
-        return self.object_named("ego")
+def declared_scalars(obj: ObjectDecl) -> Iterator[Scalar]:
+    """An object's declaration-site scalars, in the order the sampler draws them.
+
+    Placement first (x, y, heading; a relative amount; a lane position), then
+    initial speed, dims (length, width) when given, and behavior arguments.
+    """
+    spatial = obj.spatial
+    if isinstance(spatial, Absolute):
+        yield from (spatial.x, spatial.y, spatial.heading)
+    elif isinstance(spatial, Relative):
+        yield spatial.amount
+    else:
+        yield spatial.s
+    yield obj.init_speed
+    if obj.dims is not None:
+        yield from obj.dims
+    if obj.behavior is not None:
+        yield from obj.behavior.args

@@ -14,25 +14,21 @@ from scenekit.dsl.nodes import (
     Action,
     ActionKind,
     AgentClass,
-    AheadOf,
-    Always,
-    Behind,
     BehaviorDef,
     BehaviorRef,
     Choice,
     Constant,
     DistanceToEgoBelow,
     Distribution,
-    LeftOf,
     ObjectDecl,
     OnLane,
     ParamDecl,
     ParamRef,
     Range,
+    Relative,
     RequireCollision,
     RequireEgoSpeedAbove,
     Requirement,
-    RightOf,
     Scalar,
     ScenarioAst,
     SpatialSpec,
@@ -264,9 +260,7 @@ def _parse_behavior(cur: _Cursor, body: _Cursor | None) -> BehaviorDef:
     if body is None:
         body = cur  # inline body on the same line
     action = _parse_action(body)
-    trigger: Trigger = Always()
-    if body.accept_word("when"):
-        trigger = _parse_trigger(body)
+    trigger = _parse_trigger(body) if body.accept_word("when") else None
     body.expect_end()
     cur.expect_end()
     return BehaviorDef(name.text, tuple(params), action, trigger, span=_stmt_span(kw, name))
@@ -348,25 +342,14 @@ def _parse_spatial(cur: _Cursor) -> SpatialSpec:
         if cur.accept_word("facing"):
             heading = _parse_scalar(cur, "a heading in degrees")
         return Absolute(x, y, heading)
-    if cur.accept_word("ahead"):
-        cur.expect_word("of")
+    kind = cur.accept_word("ahead", "behind", "left", "right")
+    if kind is not None:
+        if kind.text != "behind":
+            cur.expect_word("of")
         ref = cur.expect_ident("an object name")
         cur.expect_word("by")
-        return AheadOf(ref.text, _parse_scalar(cur, "a distance"))
-    if cur.accept_word("behind"):
-        ref = cur.expect_ident("an object name")
-        cur.expect_word("by")
-        return Behind(ref.text, _parse_scalar(cur, "a distance"))
-    if cur.accept_word("left"):
-        cur.expect_word("of")
-        ref = cur.expect_ident("an object name")
-        cur.expect_word("by")
-        return LeftOf(ref.text, _parse_scalar(cur, "an offset"))
-    if cur.accept_word("right"):
-        cur.expect_word("of")
-        ref = cur.expect_ident("an object name")
-        cur.expect_word("by")
-        return RightOf(ref.text, _parse_scalar(cur, "an offset"))
+        what = "an offset" if kind.text in ("left", "right") else "a distance"
+        return Relative(kind.text, ref.text, _parse_scalar(cur, what))
     if cur.accept_word("on"):
         cur.expect_word("lane")
         lane = cur.expect_ident("a lane id")
@@ -411,7 +394,8 @@ def _parse_action(cur: _Cursor) -> Action:
     raise cur.fail("an action ('follow lane', 'brake', 'cross', 'cut in', 'idle', 'stop')")
 
 
-def _parse_trigger(cur: _Cursor) -> Trigger:
+def _parse_trigger(cur: _Cursor) -> Trigger | None:
+    """The trigger after `when`; None for `always`."""
     if cur.accept_word("distance"):
         obj: str | None = None
         if cur.accept_word("from"):
@@ -424,7 +408,7 @@ def _parse_trigger(cur: _Cursor) -> Trigger:
         cur.expect_word("above")
         return TimeElapsed(_parse_body_scalar(cur, "a time threshold"))
     if cur.accept_word("always"):
-        return Always()
+        return None
     raise cur.fail("a trigger ('distance ... to ego below', 'time above', 'always')")
 
 
@@ -453,6 +437,9 @@ def _parse_require(cur: _Cursor) -> Requirement:
 def _parse_terminate(cur: _Cursor) -> tuple[Trigger, Span]:
     kw = cur.expect_word("terminate")
     cur.expect_word("when")
+    if cur.peek() is not None and cur.peek().text == "always":
+        # `always` is a behavior trigger only, see docs/language.md
+        raise cur.fail("a terminate trigger ('time above', 'distance from ... to ego below')")
     trig = _parse_trigger(cur)
     cur.expect_end()
     return trig, kw.span

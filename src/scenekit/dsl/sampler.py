@@ -2,10 +2,10 @@
 
 One `random.Random(seed)` (Mersenne Twister) drives a whole sample.  Draws
 happen in a fixed documented order: params in declaration order, then per
-object (declaration order) its spatial scalars, initial speed, dims, and
-behavior arguments.  Only Range and Choice consume randomness; constants and
-parameter references never touch the generator, so adding one does not shift
-the values drawn for everything after it.
+object (declaration order) its `declared_scalars`: placement, initial speed,
+dims, and behavior arguments.  Only Range and Choice consume randomness;
+constants and parameter references never touch the generator, so adding one
+does not shift the values drawn for everything after it.
 """
 
 from __future__ import annotations
@@ -17,24 +17,21 @@ from scenekit.dsl.nodes import (
     Absolute,
     ActionKind,
     AgentClass,
-    AheadOf,
-    Always,
-    Behind,
     BehaviorDef,
     Choice,
     Constant,
     DistanceToEgoBelow,
-    LeftOf,
     ObjectDecl,
-    OnLane,
     ParamRef,
     Range,
+    Relative,
     RequireCollision,
     RequireEgoSpeedAbove,
-    RightOf,
     Scalar,
     ScenarioAst,
     TimeElapsed,
+    Trigger,
+    declared_scalars,
 )
 
 _RETRY_CAP = 32
@@ -155,9 +152,7 @@ def sample_parameters(ast: ScenarioAst, seed: int) -> ConcreteScenario:
                 CRequirement("ego_speed_above", value=_resolve(req.speed, params))
             )
 
-    termination = None
-    if ast.termination is not None:
-        termination = _concrete_trigger(ast.termination, owner=None, params=params, bound={})
+    termination = _concrete_trigger(ast.termination, owner=None, params=params, bound={})
 
     return ConcreteScenario(
         seed=seed,
@@ -202,33 +197,9 @@ def sample_variations(ast: ScenarioAst, n: int, base_seed: int) -> list[Concrete
 
 
 def _has_stochastic(ast: ScenarioAst) -> bool:
-    def stochastic(scalar: Scalar) -> bool:
-        return isinstance(scalar, (Range, Choice))
-
-    for p in ast.params:
-        if stochastic(p.value):
-            return True
-    for obj in ast.objects:
-        scalars: list[Scalar] = list(_spatial_scalars(obj.spatial)) + [obj.init_speed]
-        if obj.dims is not None:
-            scalars += list(obj.dims)
-        if obj.behavior is not None:
-            scalars += list(obj.behavior.args)
-        if any(stochastic(s) for s in scalars):
-            return True
-    return False
-
-
-def _spatial_scalars(spatial) -> tuple[Scalar, ...]:
-    if isinstance(spatial, Absolute):
-        return (spatial.x, spatial.y, spatial.heading)
-    if isinstance(spatial, (AheadOf, Behind)):
-        return (spatial.distance,)
-    if isinstance(spatial, (LeftOf, RightOf)):
-        return (spatial.offset,)
-    if isinstance(spatial, OnLane):
-        return (spatial.s,)
-    raise TypeError(f"unknown spatial spec {spatial!r}")
+    scalars = [p.value for p in ast.params]
+    scalars += [s for obj in ast.objects for s in declared_scalars(obj)]
+    return any(isinstance(s, (Range, Choice)) for s in scalars)
 
 
 def _draw(scalar: Scalar, rng: random.Random, params: dict[str, float]) -> float:
@@ -266,32 +237,21 @@ def _sample_object(
     rng: random.Random,
     params: dict[str, float],
 ) -> ConcreteObject:
+    drawn = (_draw(scalar, rng, params) for scalar in declared_scalars(obj))
     spatial = obj.spatial
     if isinstance(spatial, Absolute):
-        cspatial: CSpatial = CAbsolute(
-            _draw(spatial.x, rng, params),
-            _draw(spatial.y, rng, params),
-            _draw(spatial.heading, rng, params),
-        )
-    elif isinstance(spatial, AheadOf):
-        cspatial = CRelative("ahead", spatial.ref, _draw(spatial.distance, rng, params))
-    elif isinstance(spatial, Behind):
-        cspatial = CRelative("behind", spatial.ref, _draw(spatial.distance, rng, params))
-    elif isinstance(spatial, LeftOf):
-        cspatial = CRelative("left", spatial.ref, _draw(spatial.offset, rng, params))
-    elif isinstance(spatial, RightOf):
-        cspatial = CRelative("right", spatial.ref, _draw(spatial.offset, rng, params))
-    elif isinstance(spatial, OnLane):
-        s = _draw(spatial.s, rng, params)
+        cspatial: CSpatial = CAbsolute(next(drawn), next(drawn), next(drawn))
+    elif isinstance(spatial, Relative):
+        cspatial = CRelative(spatial.kind, spatial.ref, next(drawn))
+    else:
+        s = next(drawn)
         if s < 0:
             raise SampleError(f"object {obj.name!r}: lane position must be >= 0, got {s}")
         cspatial = COnLane(spatial.lane, s)
-    else:
-        raise TypeError(f"unknown spatial spec {spatial!r}")
 
-    init_speed = _draw(obj.init_speed, rng, params)
+    init_speed = next(drawn)
     if obj.dims is not None:
-        dims = (_draw(obj.dims[0], rng, params), _draw(obj.dims[1], rng, params))
+        dims = (next(drawn), next(drawn))
         if dims[0] <= 0 or dims[1] <= 0:
             raise SampleError(f"object {obj.name!r}: dims must be positive, got {dims}")
     else:
@@ -300,27 +260,24 @@ def _sample_object(
     behavior = None
     if obj.behavior is not None:
         bdef = behaviors[obj.behavior.name]
-        args = tuple(_draw(a, rng, params) for a in obj.behavior.args)
+        args = tuple(drawn)
         bound = dict(zip(bdef.params, args))
-        trigger = None
-        if not isinstance(bdef.trigger, Always):
-            trigger = _concrete_trigger(bdef.trigger, owner=obj.name, params=params, bound=bound)
         behavior = ConcreteBehavior(
             kind=bdef.action.kind,
             args=tuple(_resolve(a, params, bound) for a in bdef.action.args),
             direction=bdef.action.direction,
-            trigger=trigger,
+            trigger=_concrete_trigger(bdef.trigger, owner=obj.name, params=params, bound=bound),
         )
     return ConcreteObject(obj.name, obj.klass, cspatial, init_speed, dims, behavior)
 
 
 def _concrete_trigger(
-    trigger,
+    trigger: Trigger | None,
     owner: str | None,
     params: dict[str, float],
     bound: dict[str, float],
 ) -> CTrigger | None:
-    if isinstance(trigger, Always):
+    if trigger is None:
         return None
     if isinstance(trigger, DistanceToEgoBelow):
         obj = trigger.obj if trigger.obj is not None else owner

@@ -12,30 +12,23 @@ from dataclasses import dataclass
 
 from scenekit.dsl.diagnostics import Diagnostic, Severity, Span
 from scenekit.dsl.nodes import (
-    Absolute,
-    AheadOf,
-    Always,
-    Behind,
     BehaviorDef,
     COLLISION_TYPE_NAMES,
     Choice,
     Constant,
     DistanceToEgoBelow,
-    LeftOf,
     ObjectDecl,
-    OnLane,
     ParamRef,
     Range,
+    Relative,
     RequireCollision,
     RequireEgoSpeedAbove,
-    RightOf,
     Scalar,
     ScenarioAst,
     TimeElapsed,
     Trigger,
+    declared_scalars,
 )
-
-_RELATIVE = (AheadOf, Behind, LeftOf, RightOf)
 
 
 def validate(ast: ScenarioAst) -> list[Diagnostic]:
@@ -54,9 +47,8 @@ def validate(ast: ScenarioAst) -> list[Diagnostic]:
     cycle_members = _spatial_cycles(ast.objects, object_index, diags)
 
     for i, obj in enumerate(ast.objects):
-        spatial = obj.spatial
-        if isinstance(spatial, _RELATIVE):
-            ref = spatial.ref
+        if isinstance(obj.spatial, Relative):
+            ref = obj.spatial.ref
             if ref not in object_index:
                 diags.append(_err(obj, "E_UNRESOLVED_REF", f"unknown object {ref!r}"))
             elif object_index[ref] >= i and obj.name not in cycle_members:
@@ -67,18 +59,18 @@ def validate(ast: ScenarioAst) -> list[Diagnostic]:
                         f"{obj.name!r} is placed relative to {ref!r}, which is declared later",
                     )
                 )
-        for scalar in _spatial_scalars(spatial):
+        # Behavior arguments are checked after the behavior binding below, so
+        # E_BAD_DIMS and binding errors come before their unknown params.
+        scalars = list(declared_scalars(obj))
+        args = obj.behavior.args if obj.behavior is not None else ()
+        for scalar in scalars[: len(scalars) - len(args)]:
             _check_scalar(scalar, obj, param_names, None, used_params, diags)
-        _check_scalar(obj.init_speed, obj, param_names, None, used_params, diags)
-        if obj.dims is not None:
-            for scalar in obj.dims:
-                _check_scalar(scalar, obj, param_names, None, used_params, diags)
-            if all(isinstance(s, Constant) for s in obj.dims):
-                length, width = (s.value for s in obj.dims)
-                if length <= 0 or width <= 0:
-                    diags.append(
-                        _err(obj, "E_BAD_DIMS", f"dims must be positive, got ({length}, {width})")
-                    )
+        if obj.dims is not None and all(isinstance(s, Constant) for s in obj.dims):
+            length, width = (s.value for s in obj.dims)
+            if length <= 0 or width <= 0:
+                diags.append(
+                    _err(obj, "E_BAD_DIMS", f"dims must be positive, got ({length}, {width})")
+                )
         if obj.behavior is not None:
             used_behaviors.add(obj.behavior.name)
             bdef = behaviors.get(obj.behavior.name)
@@ -95,8 +87,8 @@ def validate(ast: ScenarioAst) -> list[Diagnostic]:
                         f"got {len(obj.behavior.args)}",
                     )
                 )
-            for arg in obj.behavior.args:
-                _check_scalar(arg, obj, param_names, None, used_params, diags)
+        for arg in args:
+            _check_scalar(arg, obj, param_names, None, used_params, diags)
 
     for bdef in ast.behaviors:
         local = set(bdef.params)
@@ -118,17 +110,16 @@ def validate(ast: ScenarioAst) -> list[Diagnostic]:
         elif isinstance(req, RequireEgoSpeedAbove):
             _check_scalar(req.speed, req, param_names, None, used_params, diags)
 
-    if ast.termination is not None:
-        _check_trigger(
-            ast.termination,
-            _TermSpanHolder(),
-            object_index,
-            param_names,
-            None,
-            used_params,
-            diags,
-            implicit_ok=False,
-        )
+    _check_trigger(
+        ast.termination,
+        _TermSpanHolder(),
+        object_index,
+        param_names,
+        None,
+        used_params,
+        diags,
+        implicit_ok=False,
+    )
 
     for p in ast.params:
         if p.name not in used_params:
@@ -161,18 +152,6 @@ def _err(node, code: str, message: str) -> Diagnostic:
     return Diagnostic(Severity.ERROR, node.span, code, message)
 
 
-def _spatial_scalars(spatial) -> tuple[Scalar, ...]:
-    if isinstance(spatial, Absolute):
-        return (spatial.x, spatial.y, spatial.heading)
-    if isinstance(spatial, (AheadOf, Behind)):
-        return (spatial.distance,)
-    if isinstance(spatial, (LeftOf, RightOf)):
-        return (spatial.offset,)
-    if isinstance(spatial, OnLane):
-        return (spatial.s,)
-    raise TypeError(f"unknown spatial spec {spatial!r}")
-
-
 def _check_scalar(
     scalar: Scalar,
     node,
@@ -195,7 +174,7 @@ def _check_scalar(
 
 
 def _check_trigger(
-    trigger: Trigger,
+    trigger: Trigger | None,
     node,
     object_index: dict[str, int],
     param_names: set[str],
@@ -219,9 +198,7 @@ def _check_trigger(
         _check_scalar(trigger.meters, node, param_names, local_params, used_params, diags)
     elif isinstance(trigger, TimeElapsed):
         _check_scalar(trigger.seconds, node, param_names, local_params, used_params, diags)
-    elif isinstance(trigger, Always):
-        return
-    else:
+    elif trigger is not None:
         raise TypeError(f"unknown trigger {trigger!r}")
 
 
@@ -239,7 +216,7 @@ def _spatial_cycles(
     """
     succ: dict[str, str] = {}
     for obj in objects:
-        if isinstance(obj.spatial, _RELATIVE) and obj.spatial.ref in object_index:
+        if isinstance(obj.spatial, Relative) and obj.spatial.ref in object_index:
             succ[obj.name] = obj.spatial.ref
 
     members: set[str] = set()

@@ -7,7 +7,6 @@ by waiting and quota errors (429) should surface immediately.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 
@@ -40,18 +39,6 @@ class EndpointConfig:
     attempts: int = 3
     backoff_s: float = 1.0
     send_seed: bool = True
-
-    @staticmethod
-    def from_env(env: dict | None = None) -> "EndpointConfig":
-        """Read SCENEKIT_LLM_BASE_URL / SCENEKIT_LLM_MODEL / SCENEKIT_LLM_API_KEY."""
-        env = os.environ if env is None else env
-        base_url = env.get("SCENEKIT_LLM_BASE_URL")
-        model = env.get("SCENEKIT_LLM_MODEL")
-        if not base_url or not model:
-            raise ValueError(
-                "endpoint not configured: set SCENEKIT_LLM_BASE_URL and SCENEKIT_LLM_MODEL"
-            )
-        return EndpointConfig(base_url=base_url, model=model, api_key=env.get("SCENEKIT_LLM_API_KEY"))
 
 
 def call_llm(

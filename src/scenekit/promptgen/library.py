@@ -52,19 +52,21 @@ def load_library(path: Path | str) -> ExampleLibrary:
         index = json.loads(index_path.read_text())
     except FileNotFoundError:
         raise LibraryError(f"no index.json in {root}") from None
-    except json.JSONDecodeError as e:
+    except (OSError, ValueError) as e:  # ValueError: not UTF-8 or not JSON
         raise LibraryError(f"malformed index.json in {root}: {e}") from None
 
-    raw_entries = index.get("entries")
+    raw_entries = index.get("entries") if isinstance(index, dict) else None
     if not isinstance(raw_entries, list):
-        raise LibraryError(f"{index_path}: expected an 'entries' list")
+        raise LibraryError(f"{index_path}: expected an object with an 'entries' list")
 
     entries: list[LibraryEntry] = []
     seen_ids: set[str] = set()
     for raw in raw_entries:
+        if not isinstance(raw, dict):
+            raise LibraryError(f"{index_path}: entry is not an object: {raw!r}")
         for key in ("id", "scenario_type", "description", "file"):
-            if key not in raw:
-                raise LibraryError(f"{index_path}: entry missing {key!r}: {raw}")
+            if not isinstance(raw.get(key), str):
+                raise LibraryError(f"{index_path}: entry needs a string {key!r}: {raw}")
         if raw["id"] in seen_ids:
             raise LibraryError(f"{index_path}: duplicate entry id {raw['id']!r}")
         seen_ids.add(raw["id"])
@@ -77,6 +79,8 @@ def load_library(path: Path | str) -> ExampleLibrary:
             text = script_path.read_text()
         except FileNotFoundError:
             raise LibraryError(f"entry {raw['id']!r}: missing script file {script_path}") from None
+        except (OSError, ValueError) as e:  # ValueError: not UTF-8, or a NUL in the name
+            raise LibraryError(f"entry {raw['id']!r}: cannot read {script_path}: {e}") from None
         ast, diags = compile_script(text)
         if ast is None:
             details = "; ".join(d.message for d in only_errors(diags))

@@ -87,8 +87,9 @@ def load_weights(source: str | Path) -> dict[str, float]:
     for key, value in data.items():
         if key not in MODALITIES:
             raise ValueError(f"{path}: unknown modality {key!r}")
-        w = float(value)
-        if not 0.0 <= w <= 1.0:
-            raise ValueError(f"{path}: weight {key}={w} outside [0, 1]")
-        weights[key] = w
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{path}: weight {key}={value!r} is not a number")
+        if not 0.0 <= value <= 1.0:  # also false for NaN
+            raise ValueError(f"{path}: weight {key}={value} outside [0, 1]")
+        weights[key] = float(value)
     return weights

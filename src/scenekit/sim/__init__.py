@@ -24,6 +24,7 @@ from scenekit.sim.engine import (
 )
 from scenekit.sim.requirements import RequirementResult, check_requirements
 from scenekit.sim.traceio import (
+    TraceError,
     read_trace_json,
     trace_from_dict,
     trace_to_dict,

@@ -7,6 +7,7 @@ written with sorted keys so identical traces give identical bytes.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from scenekit.dsl.nodes import AgentClass
@@ -55,47 +56,104 @@ def trace_to_dict(trace: Trace) -> dict:
     }
 
 
-def trace_from_dict(data: dict) -> Trace:
-    agents = data["agents"]
+class TraceError(ValueError):
+    """A trace JSON that is not well formed."""
+
+
+def _field(obj, key: str, where: str):
+    if not isinstance(obj, dict):
+        raise TraceError(f"{where} must be an object, got {type(obj).__name__}")
+    if key not in obj:
+        raise TraceError(f"{where} has no {key!r}")
+    return obj[key]
+
+
+def _items(value, where: str, length: int | None = None) -> list:
+    if not isinstance(value, list):
+        raise TraceError(f"{where} must be a list, got {type(value).__name__}")
+    if length is not None and len(value) != length:
+        raise TraceError(f"{where} must have {length} entries, got {len(value)}")
+    return value
+
+
+def _number(value, where: str):
+    """A finite JSON number, kept as read so re-export writes the same bytes."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return value
+        except OverflowError:
+            pass
+    raise TraceError(f"{where} must be a finite number, got {value!r}")
+
+
+def _enum(enum_type, value, where: str):
+    try:
+        return enum_type(value)
+    except (TypeError, ValueError):
+        raise TraceError(f"{where}: unknown {enum_type.__name__} {value!r}") from None
+
+
+def trace_from_dict(data) -> Trace:
+    """Rebuild a trace written by `trace_to_dict`; TraceError when malformed."""
+    agents = []
+    for i, meta in enumerate(_items(_field(data, "agents", "trace"), "agents")):
+        where = f"agents[{i}]"
+        agents.append(
+            (
+                _field(meta, "name", where),
+                _enum(AgentClass, _field(meta, "class", where), where),
+                _number(_field(meta, "length", where), f"{where}.length"),
+                _number(_field(meta, "width", where), f"{where}.width"),
+            )
+        )
     frames = []
-    for frame in data["frames"]:
+    for k, frame in enumerate(_items(_field(data, "frames", "trace"), "frames")):
+        where = f"frames[{k}]"
+        rows = _items(_field(frame, "states", where), f"{where}.states", len(agents))
         states = []
-        for meta, row in zip(agents, frame["states"]):
-            x, y, heading, speed, active, behavior_state = row
+        for (name, klass, length, width), row in zip(agents, rows):
+            x, y, heading, speed, active, behavior_state = _items(row, f"{where} {name}", 6)
             states.append(
                 AgentState(
-                    name=meta["name"],
-                    klass=AgentClass(meta["class"]),
-                    x=x,
-                    y=y,
-                    heading=heading,
-                    speed=speed,
-                    length=meta["length"],
-                    width=meta["width"],
+                    name=name,
+                    klass=klass,
+                    x=_number(x, f"{where} {name} x"),
+                    y=_number(y, f"{where} {name} y"),
+                    heading=_number(heading, f"{where} {name} heading"),
+                    speed=_number(speed, f"{where} {name} speed"),
+                    length=length,
+                    width=width,
                     behavior_state=behavior_state,
                     active=bool(active),
                 )
             )
         frames.append(tuple(states))
-    events = [
-        CollisionEvent(
-            time=e["time"],
-            frame=e["frame"],
-            agent_a=e["a"],
-            agent_b=e["b"],
-            impact=(e["impact"][0], e["impact"][1]),
-            rel_heading_deg=e["rel_heading_deg"],
-            faces=(e["faces"][0], e["faces"][1]),
-            classification=CollisionClass(e["classification"]),
+    if not frames:
+        raise TraceError("trace has no frames")
+    events = []
+    for i, e in enumerate(_items(_field(data, "events", "trace"), "events")):
+        where = f"events[{i}]"
+        impact = _items(_field(e, "impact", where), f"{where}.impact", 2)
+        faces = _items(_field(e, "faces", where), f"{where}.faces", 2)
+        events.append(
+            CollisionEvent(
+                time=_field(e, "time", where),
+                frame=_field(e, "frame", where),
+                agent_a=_field(e, "a", where),
+                agent_b=_field(e, "b", where),
+                impact=(impact[0], impact[1]),
+                rel_heading_deg=_field(e, "rel_heading_deg", where),
+                faces=(faces[0], faces[1]),
+                classification=_enum(CollisionClass, _field(e, "classification", where), where),
+            )
         )
-        for e in data["events"]
-    ]
     return Trace(
-        map_name=data["map"],
-        dt=data["dt"],
+        map_name=_field(data, "map", "trace"),
+        dt=_number(_field(data, "dt", "trace"), "dt"),
         frames=frames,
         events=events,
-        termination=data["termination"],
+        termination=_field(data, "termination", "trace"),
     )
 
 
@@ -104,4 +162,9 @@ def write_trace_json(trace: Trace, path: Path | str) -> None:
 
 
 def read_trace_json(path: Path | str) -> Trace:
-    return trace_from_dict(json.loads(Path(path).read_text()))
+    """Read a `trace.json`; TraceError when it is not UTF-8 JSON or is malformed."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except ValueError as e:
+        raise TraceError(f"not a JSON trace: {e}") from None
+    return trace_from_dict(data)

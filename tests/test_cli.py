@@ -154,6 +154,45 @@ def test_gen_unknown_type(tmp_path, capsys):
     assert "unknown scenario type" in capsys.readouterr().err
 
 
+LIBRARY_SCRIPT = b"ego = new Car at (0.0, 0.0)\n"
+ENTRY = {"id": "a", "scenario_type": "vehicle-cut-in", "description": "d", "file": "a.scn"}
+BAD_LIBRARIES = {
+    "index_not_object": (b"[1]", LIBRARY_SCRIPT),
+    "entry_not_object": (b'{"entries": [5]}', LIBRARY_SCRIPT),
+    "entry_id_not_string": (json.dumps({"entries": [{**ENTRY, "id": [1]}]}).encode(), LIBRARY_SCRIPT),
+    "index_not_utf8": (b'{"entries": [], "x": "\xff\xfe"}', LIBRARY_SCRIPT),
+    "script_not_utf8": (json.dumps({"entries": [ENTRY]}).encode(), b"ego = new Car \xff\xfe\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LIBRARIES))
+def test_gen_rejects_malformed_library(tmp_path, capsys, case):
+    index, script = BAD_LIBRARIES[case]
+    library = tmp_path / "lib"
+    library.mkdir()
+    (library / "index.json").write_bytes(index)
+    (library / "a.scn").write_bytes(script)
+    with StubLLMServer([GOOD_RESPONSE]) as stub:
+        code = main(
+            [
+                "gen",
+                "--base-url",
+                stub.base_url,
+                "--model",
+                "m",
+                "--type",
+                "vehicle-cut-in",
+                "--library",
+                str(library),
+                "-o",
+                str(tmp_path / "gen"),
+            ]
+        )
+        assert not stub.requests
+    assert code == 2
+    assert "cannot load example library" in capsys.readouterr().err
+
+
 # --- sim ----------------------------------------------------------------
 
 
@@ -331,6 +370,52 @@ def test_render_bad_trace_path(tmp_path, capsys):
         ["render", str(tmp_path / "nope.json"), "--map", "straight", "-o", str(tmp_path / "r")]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("weight", ["[1]", "null", "true", '"0.5"'])
+def test_render_rejects_non_number_weight(tmp_path, short_trace, capsys, weight):
+    weights = tmp_path / "w.json"
+    weights.write_text('{"depth": %s}' % weight)
+    args = ["render", str(short_trace), "--map", "straight", "--weights", str(weights)]
+    assert main([*args, "-o", str(tmp_path / "r")]) == 2
+    assert "bad weights" in capsys.readouterr().err
+
+
+def _set(trace, path, value):
+    node = trace
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    return trace
+
+
+ROW = ("frames", 0, "states", 0)
+# case: (break the trace dict, what the error names)
+BAD_TRACES = {
+    "top_level_list": (lambda t: [t], "trace must be an object"),
+    "frame_not_object": (lambda t: _set(t, ("frames", 0), 5), "frames[0] must be an object"),
+    "agent_not_object": (lambda t: _set(t, ("agents", 0), 5), "agents[0] must be an object"),
+    "state_row_of_five": (lambda t: _set(t, ROW, [0.0] * 5), "frames[0] ego must have 6 entries"),
+    "x_not_number": (lambda t: _set(t, ROW + (0,), "abc"), "frames[0] ego x must be a finite number"),
+    "x_nan": (lambda t: _set(t, ROW + (0,), float("nan")), "frames[0] ego x must be a finite number"),
+    "heading_null": (lambda t: _set(t, ROW + (2,), None), "frames[0] ego heading must be a finite number"),
+    "length_infinite": (lambda t: _set(t, ("agents", 0, "length"), float("inf")), "agents[0].length"),
+    "width_bool": (lambda t: _set(t, ("agents", 0, "width"), True), "agents[0].width"),
+    "unknown_class": (lambda t: _set(t, ("agents", 0, "class"), "Tank"), "unknown AgentClass 'Tank'"),
+    "no_frames": (lambda t: _set(t, ("frames",), []), "trace has no frames"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TRACES))
+def test_render_rejects_malformed_trace(tmp_path, short_trace, capsys, case):
+    breaks, named = BAD_TRACES[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(breaks(json.loads(short_trace.read_text()))))
+    code = main(["render", str(bad), "--map", "straight", "-o", str(tmp_path / "r")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "cannot read trace" in err
+    assert named in err
 
 
 # --- bundle -------------------------------------------------------------

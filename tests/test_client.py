@@ -95,21 +95,6 @@ def test_transport_retry_with_backoff():
     assert waits == [0.25, 0.5]
 
 
-def test_from_env():
-    cfg = EndpointConfig.from_env(
-        {
-            "SCENEKIT_LLM_BASE_URL": "http://example.test/v1",
-            "SCENEKIT_LLM_MODEL": "m-1",
-            "SCENEKIT_LLM_API_KEY": "sk-abc",
-        }
-    )
-    assert cfg.base_url == "http://example.test/v1"
-    assert cfg.model == "m-1"
-    assert cfg.api_key == "sk-abc"
-    with pytest.raises(ValueError, match="SCENEKIT_LLM_BASE_URL"):
-        EndpointConfig.from_env({"SCENEKIT_LLM_MODEL": "m-1"})
-
-
 # --- generation loop ----------------------------------------------------
 
 

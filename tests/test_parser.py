@@ -3,8 +3,6 @@ from scenekit.dsl import (
     Action,
     ActionKind,
     AgentClass,
-    AheadOf,
-    Always,
     BehaviorDef,
     BehaviorRef,
     Choice,
@@ -13,6 +11,7 @@ from scenekit.dsl import (
     OnLane,
     ParamRef,
     Range,
+    Relative,
     RequireCollision,
     RequireEgoSpeedAbove,
     TimeElapsed,
@@ -69,7 +68,7 @@ def test_full_script_shapes():
     assert ego.spatial == OnLane("main_a", Constant(15.0))
     assert ego.init_speed == ParamRef("pace")
     assert ego.behavior == BehaviorRef("Cruise", (ParamRef("pace"),))
-    assert walker.spatial == AheadOf("ego", ParamRef("gap"))
+    assert walker.spatial == Relative("ahead", "ego", ParamRef("gap"))
     assert prop.spatial == Absolute(Constant(3.0), Constant(-4.5), Constant(90.0))
     assert prop.dims == (Constant(7.5), Constant(2.4))
 
@@ -87,7 +86,7 @@ def test_inline_behavior_body():
     )
     assert not errors(diags)
     assert ast.behaviors[0].action.kind is ActionKind.STOP
-    assert ast.behaviors[0].trigger == Always()
+    assert ast.behaviors[0].trigger is None
 
 
 def test_cut_in_action():
@@ -189,6 +188,14 @@ def test_two_terminate_statements():
     )
     assert ast is None
     assert [d.code for d in errors(diags)] == ["E_SYNTAX"]
+
+
+def test_terminate_rejects_always():
+    ast, diags = parse_text("ego = new Car at (0.0, 0.0)\nterminate when always\n")
+    assert ast is None
+    assert [d.code for d in errors(diags)] == ["E_SYNTAX"]
+    assert (diags[0].span.line, diags[0].span.col) == (2, 16)
+    assert "found 'always'" in diags[0].message
 
 
 def test_distribution_not_allowed_in_behavior_body():

@@ -119,7 +119,6 @@ def test_builtin_scripts_have_collision_requirements():
         kinds = [type(r).__name__ for r in entry.ast.requirements]
         assert "RequireCollision" in kinds, entry.id
         assert entry.ast.termination is not None, entry.id
-        assert entry.ast.ego is not None, entry.id
 
 
 def test_load_library_rejects_broken_script(tmp_path):

@@ -190,6 +190,16 @@ def test_bad_constant_dims():
     assert codes(diags) == ["E_BAD_DIMS"]
 
 
+def test_bad_dims_reported_before_unknown_behavior_argument():
+    # validate prints diagnostics in this order, and the repair prompt carries it
+    diags = check(
+        "behavior B(v):\n"
+        "    follow lane at v\n"
+        "ego = new Car at (0.0, 0.0) with dims (0.0, 1.0) with behavior B(nope)\n"
+    )
+    assert codes(diags) == ["E_BAD_DIMS", "E_UNRESOLVED_REF"]
+
+
 def test_compile_script_success_keeps_warnings():
     ast, diags = compile_script("param unused = 1.0\nego = new Car at (0.0, 0.0)\n")
     assert ast is not None

@@ -108,6 +108,8 @@ def _read_config_file(path: str | None) -> dict:
 def _resolve_endpoint(args, config: dict) -> EndpointConfig:
     """flags > environment > config file for the endpoint settings."""
     env = os.environ
+    for key in ("base_url", "model", "api_key"):
+        _pick(None, config, key, None, str)  # a config-file value must be a string
     base_url = args.base_url or env.get("SCENEKIT_LLM_BASE_URL") or config.get("base_url")
     model = args.model or env.get("SCENEKIT_LLM_MODEL") or config.get("model")
     api_key = args.api_key or env.get("SCENEKIT_LLM_API_KEY") or config.get("api_key")
@@ -119,13 +121,24 @@ def _resolve_endpoint(args, config: dict) -> EndpointConfig:
     return EndpointConfig(base_url=base_url, model=model, api_key=api_key)
 
 
-def _pick(flag_value, config: dict, key: str, default):
-    """Config precedence for non-endpoint settings (no env counterpart)."""
+_KIND_NAMES = {str: "a string", int: "an integer", float: "a number"}
+
+
+def _pick(flag_value, config: dict, key: str, default, kind: type):
+    """The flag if given, else the config-file value, else `default`.
+
+    A config-file value must be a `kind` (an int also serves as a float, a
+    boolean as no number); anything else is a CliError naming the key.
+    """
     if flag_value is not None:
         return flag_value
-    if key in config:
-        return config[key]
-    return default
+    if key not in config:
+        return default
+    value = config[key]
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise CliError(f"config key {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return kind(value)
 
 
 def _library(path: str | None):
@@ -161,17 +174,17 @@ def cmd_validate(args) -> int:
 def cmd_gen(args) -> int:
     config = _read_config_file(args.config)
     endpoint = _resolve_endpoint(args, config)
-    library = _library(_pick(args.library, config, "library", None))
+    library = _library(_pick(args.library, config, "library", None, str))
     try:
-        scenario_type = ScenarioType.from_name(_pick(args.type, config, "type", None) or "")
+        scenario_type = ScenarioType.from_name(_pick(args.type, config, "type", None, str) or "")
     except ValueError as e:
         raise CliError(str(e)) from None
     request = GenerationRequest(
         scenario_type=scenario_type,
-        k_examples=int(_pick(args.examples, config, "examples", 3)),
-        seed=int(_pick(args.seed, config, "seed", 0)),
-        temperature=float(_pick(args.temperature, config, "temperature", 0.7)),
-        repair_limit=int(_pick(args.repair_limit, config, "repair_limit", 2)),
+        k_examples=_pick(args.examples, config, "examples", 3, int),
+        seed=_pick(args.seed, config, "seed", 0, int),
+        temperature=_pick(args.temperature, config, "temperature", 0.7, float),
+        repair_limit=_pick(args.repair_limit, config, "repair_limit", 2, int),
     )
     try:
         transcript = generate_scenario(request, library, endpoint)
@@ -374,32 +387,32 @@ def cmd_pipeline(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    map_spec = _pick(args.map, config, "map", None)
+    map_spec = _pick(args.map, config, "map", None, str)
     if map_spec is None:
         raise CliError("pipeline needs a map (--map or config)")
     world = _load_world(map_spec)
-    camera = _load_camera(_pick(args.camera, config, "camera", None), world)
-    weights = _load_weight_spec(_pick(args.weights, config, "weights", "preset-a"))
-    prompt = _pick(args.prompt, config, "prompt", DEFAULT_PROMPT)
-    steps = int(_pick(args.steps, config, "steps", DEFAULT_STEPS))
-    strength = float(_pick(args.strength, config, "strength", DEFAULT_STRENGTH))
-    n = int(_pick(args.variations, config, "variations", 20))
-    seed = int(_pick(args.seed, config, "seed", 0))
-    dt = float(_pick(args.dt, config, "dt", 0.05))
-    max_duration = float(_pick(args.max_duration, config, "max_duration", 30.0))
+    camera = _load_camera(_pick(args.camera, config, "camera", None, str), world)
+    weights = _load_weight_spec(_pick(args.weights, config, "weights", "preset-a", str))
+    prompt = _pick(args.prompt, config, "prompt", DEFAULT_PROMPT, str)
+    steps = _pick(args.steps, config, "steps", DEFAULT_STEPS, int)
+    strength = _pick(args.strength, config, "strength", DEFAULT_STRENGTH, float)
+    n = _pick(args.variations, config, "variations", 20, int)
+    seed = _pick(args.seed, config, "seed", 0, int)
+    dt = _pick(args.dt, config, "dt", 0.05, float)
+    max_duration = _pick(args.max_duration, config, "max_duration", 30.0, float)
     _check_diffusion_args(prompt, steps, strength)
     if args.jobs is not None and args.jobs < 1:
         raise CliError(f"--jobs must be at least 1, got {args.jobs}")
     jobs = args.jobs or os.cpu_count() or 1
 
-    script_path = _pick(args.script, config, "script", None)
+    script_path = _pick(args.script, config, "script", None, str)
     if script_path is not None:
         script_text = _read_script(script_path)
         scenario_type = None
     else:
         endpoint = _resolve_endpoint(args, config)
-        library = _library(_pick(args.library, config, "library", None))
-        type_name = _pick(args.type, config, "type", None)
+        library = _library(_pick(args.library, config, "library", None, str))
+        type_name = _pick(args.type, config, "type", None, str)
         if type_name is None:
             raise CliError("pipeline needs --script or a scenario --type for generation")
         try:
@@ -493,7 +506,10 @@ def cmd_stub_llm(args) -> int:
             "terminate when time above 15.0\n"
             "```"
         ]
-    server = StubLLMServer(responses, host=args.host, port=args.port)
+    try:
+        server = StubLLMServer(responses, host=args.host, port=args.port)
+    except ValueError as e:
+        raise CliError(f"bad responses file: {e}") from e
     server.start()
     print(json.dumps({"base_url": server.base_url}), flush=True)
     try:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import numpy as np
 
@@ -114,20 +114,27 @@ def verify_bundle(bundle_dir: str | Path) -> list[str]:
     """Re-hash a bundle against its manifest; returns problem descriptions.
 
     An empty list means the bundle is intact.  Problems cover a missing or
-    unreadable manifest, missing files, hash mismatches, and files on disk
+    unreadable manifest, listed paths that are absolute or climb out with
+    `..` (never opened), missing files, hash mismatches, and files on disk
     that the manifest does not list.
     """
     root = Path(bundle_dir)
     problems: list[str] = []
     try:
-        manifest = json.loads((root / "manifest.json").read_text())
+        manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
         listed: dict[str, str] = manifest["files"]
     except FileNotFoundError:
         return [f"no manifest.json in {root}"]
-    except (json.JSONDecodeError, KeyError, TypeError) as e:
+    except (OSError, ValueError, KeyError, TypeError) as e:  # ValueError: bad UTF-8 or JSON
         return [f"unreadable manifest in {root}: {e}"]
+    if not isinstance(listed, dict):
+        return [f"unreadable manifest in {root}: 'files' is not an object"]
 
     for rel, expected in sorted(listed.items()):
+        rel_path = PurePosixPath(rel)
+        if rel_path.is_absolute() or ".." in rel_path.parts:
+            problems.append(f"unsafe path: {rel}")
+            continue
         path = root / rel
         if not path.is_file():
             problems.append(f"missing file: {rel}")

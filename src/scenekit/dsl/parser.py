@@ -394,8 +394,10 @@ def _parse_action(cur: _Cursor) -> Action:
     raise cur.fail("an action ('follow lane', 'brake', 'cross', 'cut in', 'idle', 'stop')")
 
 
-def _parse_trigger(cur: _Cursor) -> Trigger | None:
-    """The trigger after `when`; None for `always`."""
+def _parse_trigger(
+    cur: _Cursor, expected: str = "a trigger ('distance ... to ego below', 'time above', 'always')"
+) -> Trigger | None:
+    """The trigger after `when`; None for `always`.  `expected` names what may stand here."""
     if cur.accept_word("distance"):
         obj: str | None = None
         if cur.accept_word("from"):
@@ -409,7 +411,7 @@ def _parse_trigger(cur: _Cursor) -> Trigger | None:
         return TimeElapsed(_parse_body_scalar(cur, "a time threshold"))
     if cur.accept_word("always"):
         return None
-    raise cur.fail("a trigger ('distance ... to ego below', 'time above', 'always')")
+    raise cur.fail(expected)
 
 
 def _parse_require(cur: _Cursor) -> Requirement:
@@ -437,10 +439,11 @@ def _parse_require(cur: _Cursor) -> Requirement:
 def _parse_terminate(cur: _Cursor) -> tuple[Trigger, Span]:
     kw = cur.expect_word("terminate")
     cur.expect_word("when")
+    expected = "a terminate trigger ('time above', 'distance from ... to ego below')"
     if cur.peek() is not None and cur.peek().text == "always":
         # `always` is a behavior trigger only, see docs/language.md
-        raise cur.fail("a terminate trigger ('time above', 'distance from ... to ego below')")
-    trig = _parse_trigger(cur)
+        raise cur.fail(expected)
+    trig = _parse_trigger(cur, expected)
     cur.expect_end()
     return trig, kw.span
 

@@ -28,11 +28,20 @@ class StubLLMServer:
 
     @staticmethod
     def _normalize(entry) -> dict:
+        """A scripted entry as a response dict; ValueError when it is malformed."""
         if isinstance(entry, str):
             return {"status": 200, "content": entry}
-        if "content" in entry:
-            return {"status": entry.get("status", 200), "content": entry["content"]}
-        return {"status": entry["status"], "body": entry.get("body", "")}
+        if isinstance(entry, dict):
+            status, body = entry.get("status", 200), entry.get("body", "")
+            status_ok = isinstance(status, int) and not isinstance(status, bool)
+            if status_ok and isinstance(entry.get("content"), str):
+                return {"status": status, "content": entry["content"]}
+            if status_ok and "content" not in entry and "status" in entry and isinstance(body, str):
+                return {"status": status, "body": body}
+        raise ValueError(
+            f"scripted response {entry!r} is neither a string nor an object with "
+            "a string 'content' or an integer 'status'"
+        )
 
     @property
     def port(self) -> int:

@@ -12,14 +12,13 @@ from scenekit.sim.geometry import (
     rel_heading_deg,
     signed_separation,
 )
-from scenekit.sim.classify import ClassifierConfig, CollisionClass, classify_collision
+from scenekit.sim.classify import CollisionClass, classify_collision
 from scenekit.sim.engine import (
     AgentState,
     CollisionEvent,
     PlacementError,
     SimConfig,
     Trace,
-    instantiate,
     run,
 )
 from scenekit.sim.requirements import RequirementResult, check_requirements

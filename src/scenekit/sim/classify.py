@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from scenekit.dsl.nodes import AgentClass
 
@@ -16,13 +15,10 @@ class CollisionClass(enum.Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class ClassifierConfig:
-    """Angle thresholds in degrees; rel heading is folded into [0, 180]."""
-
-    t_bone_min_deg: float = 65.0
-    t_bone_max_deg: float = 115.0
-    rear_end_max_deg: float = 25.0
+# Angle thresholds in degrees; the relative heading is folded into [0, 180].
+T_BONE_MIN_DEG = 65.0
+T_BONE_MAX_DEG = 115.0
+REAR_END_MAX_DEG = 25.0
 
 
 def classify_collision(
@@ -30,7 +26,6 @@ def classify_collision(
     class_b: AgentClass,
     rel_heading: float,
     faces: tuple[str, str],
-    config: ClassifierConfig = ClassifierConfig(),
 ) -> CollisionClass:
     """Classify a contact.
 
@@ -50,11 +45,11 @@ def classify_collision(
         return CollisionClass.OTHER
 
     face_a, face_b = faces
-    if config.t_bone_min_deg <= rel_heading <= config.t_bone_max_deg:
+    if T_BONE_MIN_DEG <= rel_heading <= T_BONE_MAX_DEG:
         sides = ("left", "right")
         if (face_a == "front" and face_b in sides) or (face_b == "front" and face_a in sides):
             return CollisionClass.T_BONE
-    if rel_heading < config.rear_end_max_deg:
+    if rel_heading < REAR_END_MAX_DEG:
         if {face_a, face_b} == {"front", "rear"}:
             return CollisionClass.REAR_END
     return CollisionClass.OTHER

@@ -11,7 +11,7 @@ once fired.  Frame k sits at time k * dt (multiplied, not accumulated).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from scenekit.dsl.nodes import ActionKind, AgentClass
 from scenekit.dsl.sampler import (
@@ -20,9 +20,10 @@ from scenekit.dsl.sampler import (
     CRelative,
     ConcreteBehavior,
     ConcreteScenario,
+    CTrigger,
     SampleError,
 )
-from scenekit.sim.classify import ClassifierConfig, CollisionClass, classify_collision
+from scenekit.sim.classify import CollisionClass, classify_collision
 from scenekit.sim.geometry import (
     Box,
     contact_faces,
@@ -45,7 +46,6 @@ class SimConfig:
     dt: float = 0.05
     max_duration: float = 30.0
     collision_stop: bool = True
-    classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -113,18 +113,21 @@ class _Runtime:
     merged: bool = False
 
 
-@dataclass
-class SimState:
-    world: WorldMap
-    states: list[AgentState]
-    runtimes: list[_Runtime]
-
-
 _LANE_KINDS = (ActionKind.FOLLOW_LANE, ActionKind.BRAKE, ActionKind.CUT_IN)
 
+# Unit offset of each relative placement from the reference's heading (cos, sin).
+_OFFSETS = {
+    "ahead": lambda c, s: (c, s),
+    "behind": lambda c, s: (-c, -s),
+    "left": lambda c, s: (-s, c),
+    "right": lambda c, s: (s, -c),
+}
 
-def instantiate(scenario: ConcreteScenario, world: WorldMap) -> SimState:
-    """Resolve placements into initial agent states.
+
+def _instantiate(
+    scenario: ConcreteScenario, world: WorldMap
+) -> tuple[list[AgentState], list[_Runtime]]:
+    """Resolve placements into initial agent states and their runtimes.
 
     Raises SampleError for lane references the map cannot satisfy and
     PlacementError when any two initial boxes already interpenetrate.
@@ -138,18 +141,9 @@ def instantiate(scenario: ConcreteScenario, world: WorldMap) -> SimState:
         if isinstance(spatial, CAbsolute):
             x, y, heading = spatial.x, spatial.y, math.radians(spatial.heading_deg)
         elif isinstance(spatial, CRelative):
-            rx, ry, rh = poses[spatial.ref]
-            c, s = math.cos(rh), math.sin(rh)
-            d = spatial.amount
-            if spatial.kind == "ahead":
-                x, y = rx + d * c, ry + d * s
-            elif spatial.kind == "behind":
-                x, y = rx - d * c, ry - d * s
-            elif spatial.kind == "left":
-                x, y = rx - d * s, ry + d * c
-            else:  # right
-                x, y = rx + d * s, ry - d * c
-            heading = rh
+            rx, ry, heading = poses[spatial.ref]
+            ux, uy = _OFFSETS[spatial.kind](math.cos(heading), math.sin(heading))
+            x, y = rx + spatial.amount * ux, ry + spatial.amount * uy
         elif isinstance(spatial, COnLane):
             lane = world.lanes.get(spatial.lane)
             if lane is None:
@@ -170,13 +164,11 @@ def instantiate(scenario: ConcreteScenario, world: WorldMap) -> SimState:
         poses[obj.name] = (x, y, heading)
 
         rt = _Runtime(behavior=obj.behavior, base_heading=heading)
-        if obj.behavior is not None and obj.behavior.trigger is None:
-            rt.triggered = True
+        rt.triggered = obj.behavior is None or obj.behavior.trigger is None
         if isinstance(spatial, COnLane):
             rt.lane_id, rt.s = spatial.lane, spatial.s
         elif obj.behavior is not None and obj.behavior.kind in _LANE_KINDS:
-            lane_id, s, _ = world.nearest_lane(x, y)
-            rt.lane_id, rt.s = lane_id, s
+            rt.lane_id, rt.s, _ = world.nearest_lane(x, y)
 
         states.append(
             AgentState(
@@ -199,7 +191,7 @@ def instantiate(scenario: ConcreteScenario, world: WorldMap) -> SimState:
                 raise PlacementError(
                     f"initial poses of {states[i].name!r} and {states[j].name!r} overlap"
                 )
-    return SimState(world=world, states=states, runtimes=runtimes)
+    return states, runtimes
 
 
 def _initial_state(behavior: ConcreteBehavior | None, speed: float) -> str:
@@ -217,8 +209,10 @@ def _initial_state(behavior: ConcreteBehavior | None, speed: float) -> str:
 
 def run(scenario: ConcreteScenario, world: WorldMap, config: SimConfig = SimConfig()) -> Trace:
     """Simulate until collision, scripted termination, or timeout."""
-    sim = instantiate(scenario, world)
-    frames: list[tuple[AgentState, ...]] = [tuple(replace(s) for s in sim.states)]
+    states, runtimes = _instantiate(scenario, world)
+    # Live states by name: before motion they hold the previous frame's poses.
+    by_name = {s.name: s for s in states}
+    frames: list[tuple[AgentState, ...]] = [tuple(replace(s) for s in states)]
     events: list[CollisionEvent] = []
     contacted: set[tuple[str, str]] = set()
     n_steps = round(config.max_duration / config.dt)
@@ -227,28 +221,26 @@ def run(scenario: ConcreteScenario, world: WorldMap, config: SimConfig = SimConf
     for k in range(1, n_steps + 1):
         prev_time = (k - 1) * config.dt
         now = k * config.dt
-        prev = {s.name: s for s in frames[-1]}
 
-        for state, rt in zip(sim.states, sim.runtimes):
+        for state, rt in zip(states, runtimes):
+            if state.active and not rt.triggered:
+                rt.triggered = _fired(rt.behavior.trigger, by_name, prev_time)
+        for state, rt in zip(states, runtimes):
             if state.active:
-                _update_trigger(rt, prev, prev_time)
-        for state, rt in zip(sim.states, sim.runtimes):
-            if state.active:
-                _advance(state, rt, sim.world, config.dt)
+                _advance(state, rt, world, config.dt)
 
-        frames.append(tuple(replace(s) for s in sim.states))
+        frames.append(tuple(replace(s) for s in states))
 
-        new_events = _detect(sim.states, contacted, now, k, config.classifier)
+        new_events = _detect(states, contacted, now, k)
         events.extend(new_events)
         if new_events and config.collision_stop:
             termination = "collision"
             break
         for ev in new_events:
-            for state in sim.states:
-                if state.name in (ev.agent_a, ev.agent_b):
-                    state.active = False
-                    state.speed = 0.0
-        if _terminated(scenario, sim.states, now):
+            for name in (ev.agent_a, ev.agent_b):
+                by_name[name].active = False
+                by_name[name].speed = 0.0
+        if scenario.termination is not None and _fired(scenario.termination, by_name, now):
             termination = "script"
             break
 
@@ -261,19 +253,15 @@ def run(scenario: ConcreteScenario, world: WorldMap, config: SimConfig = SimConf
     )
 
 
-def _update_trigger(rt: _Runtime, prev: dict[str, AgentState], prev_time: float) -> None:
-    if rt.behavior is None or rt.triggered or rt.behavior.trigger is None:
-        return
-    trig = rt.behavior.trigger
-    if trig.kind == "time":
-        if prev_time >= trig.value:
-            rt.triggered = True
-    elif trig.kind == "distance":
-        obj = prev.get(trig.obj)
-        ego = prev.get("ego")
-        if obj is not None and ego is not None:
-            if math.hypot(obj.x - ego.x, obj.y - ego.y) < trig.value:
-                rt.triggered = True
+def _fired(trigger: CTrigger, states_by_name: dict[str, AgentState], t: float) -> bool:
+    """Whether a time or distance trigger holds for these states at time t."""
+    if trigger.kind == "time":
+        return t >= trigger.value
+    obj = states_by_name.get(trigger.obj)
+    ego = states_by_name.get("ego")
+    if obj is None or ego is None:
+        return False
+    return math.hypot(obj.x - ego.x, obj.y - ego.y) < trigger.value
 
 
 def _advance(state: AgentState, rt: _Runtime, world: WorldMap, dt: float) -> None:
@@ -285,16 +273,19 @@ def _advance(state: AgentState, rt: _Runtime, world: WorldMap, dt: float) -> Non
         state.speed = 0.0
         state.behavior_state = "idle" if b.kind is ActionKind.IDLE else "stopped"
         return
+    if b.kind in _LANE_KINDS and (not rt.triggered or rt.merged):
+        # Before the trigger fires, and once a cut-in has merged: hold the
+        # lane at the current speed.
+        _pursuit(state, rt, world, dt, state.speed)
+        if state.behavior_state != "stopped":
+            state.behavior_state = "merged" if rt.merged else "cruise"
+        return
     if b.kind is ActionKind.FOLLOW_LANE:
-        target = b.args[0] if rt.triggered else state.speed
-        _pursuit(state, rt, world, dt, target)
+        _pursuit(state, rt, world, dt, b.args[0])
         if state.behavior_state != "stopped":
             state.behavior_state = "cruise"
         return
     if b.kind is ActionKind.BRAKE:
-        if not rt.triggered:
-            _pursuit(state, rt, world, dt, state.speed)
-            return
         speed = max(0.0, state.speed - b.args[0] * dt)
         _pursuit(state, rt, world, dt, speed)
         state.behavior_state = "stopped" if speed == 0.0 else "braking"
@@ -311,14 +302,6 @@ def _advance(state: AgentState, rt: _Runtime, world: WorldMap, dt: float) -> Non
         state.behavior_state = "crossing"
         return
     if b.kind is ActionKind.CUT_IN:
-        if not rt.triggered:
-            _pursuit(state, rt, world, dt, state.speed)
-            return
-        if rt.merged:
-            _pursuit(state, rt, world, dt, state.speed)
-            if state.behavior_state != "stopped":
-                state.behavior_state = "merged"
-            return
         _cut_in(state, rt, world, dt, b)
         return
     raise TypeError(f"unknown behavior kind {b.kind!r}")
@@ -329,42 +312,39 @@ def _straight(state: AgentState, dt: float) -> None:
     state.y += state.speed * math.sin(state.heading) * dt
 
 
+def _follow(world: WorldMap, lane_id: str, s: float) -> tuple[str, float]:
+    """Carry arc position s past lane ends onto first successors.
+
+    On a lane with no successor the returned s may exceed its length.
+    """
+    lane = world.lanes[lane_id]
+    while s > lane.length and lane.successors:
+        s -= lane.length
+        lane_id = lane.successors[0]
+        lane = world.lanes[lane_id]
+    return lane_id, s
+
+
 def _pursuit(state: AgentState, rt: _Runtime, world: WorldMap, dt: float, speed: float) -> None:
     """Advance along the assigned lane with pure-pursuit steering."""
-    if rt.lane_id is None:
-        state.speed = speed
-        _straight(state, dt)
-        return
+    rt.lane_id, s = _follow(world, rt.lane_id, rt.s + speed * dt)
     lane = world.lanes[rt.lane_id]
-    s_next = rt.s + speed * dt
-    while s_next > lane.length:
-        if lane.successors:
-            s_next -= lane.length
-            rt.lane_id = lane.successors[0]
-            lane = world.lanes[rt.lane_id]
-        else:
-            state.x, state.y = lane.point_at(lane.length)
-            state.heading = lane.heading_at(lane.length)
-            state.speed = 0.0
-            rt.s = lane.length
-            state.behavior_state = "stopped"
-            return
-    rt.s = s_next
+    if s > lane.length:
+        state.x, state.y = lane.point_at(lane.length)
+        state.heading = lane.heading_at(lane.length)
+        state.speed = 0.0
+        rt.s = lane.length
+        state.behavior_state = "stopped"
+        return
+    rt.s = s
     lookahead = max(LOOKAHEAD_MIN, LOOKAHEAD_TIME * speed)
-    tx, ty = _walk_point(world, rt.lane_id, rt.s + lookahead)
+    target_id, target_s = _follow(world, rt.lane_id, rt.s + lookahead)
+    target = world.lanes[target_id]
+    tx, ty = target.point_at(min(target_s, target.length))
     alpha = _wrap(math.atan2(ty - state.y, tx - state.x) - state.heading)
     state.heading = _wrap(state.heading + speed * (2.0 * math.sin(alpha) / lookahead) * dt)
     state.speed = speed
     _straight(state, dt)
-
-
-def _walk_point(world: WorldMap, lane_id: str, s: float) -> tuple[float, float]:
-    """Point at arc position s, following first successors past lane ends."""
-    lane = world.lanes[lane_id]
-    while s > lane.length and lane.successors:
-        s -= lane.length
-        lane = world.lanes[lane.successors[0]]
-    return lane.point_at(min(s, lane.length))
 
 
 def _cut_in(state: AgentState, rt: _Runtime, world: WorldMap, dt: float, b: ConcreteBehavior) -> None:
@@ -382,9 +362,8 @@ def _cut_in(state: AgentState, rt: _Runtime, world: WorldMap, dt: float, b: Conc
     rt.lateral_travel += rate * dt
     if rt.lateral_travel >= lane.width:
         rt.merged = True
-        lane_id, s, _ = world.nearest_lane(state.x, state.y)
-        rt.lane_id, rt.s = lane_id, s
-        state.heading = world.lanes[lane_id].heading_at(s)
+        rt.lane_id, rt.s, _ = world.nearest_lane(state.x, state.y)
+        state.heading = world.lanes[rt.lane_id].heading_at(rt.s)
         state.behavior_state = "merged"
     else:
         state.behavior_state = "cutting"
@@ -395,7 +374,6 @@ def _detect(
     contacted: set[tuple[str, str]],
     now: float,
     frame: int,
-    classifier: ClassifierConfig,
 ) -> list[CollisionEvent]:
     events = []
     for i in range(len(states)):
@@ -420,26 +398,10 @@ def _detect(
                     impact=impact_point(a.box(), b.box()),
                     rel_heading_deg=rel,
                     faces=faces,
-                    classification=classify_collision(a.klass, b.klass, rel, faces, classifier),
+                    classification=classify_collision(a.klass, b.klass, rel, faces),
                 )
             )
     return events
-
-
-def _terminated(scenario: ConcreteScenario, states: list[AgentState], now: float) -> bool:
-    trig = scenario.termination
-    if trig is None:
-        return False
-    if trig.kind == "time":
-        return now >= trig.value
-    if trig.kind == "distance":
-        by_name = {s.name: s for s in states}
-        obj = by_name.get(trig.obj)
-        ego = by_name.get("ego")
-        if obj is None or ego is None:
-            return False
-        return math.hypot(obj.x - ego.x, obj.y - ego.y) < trig.value
-    return False
 
 
 def _wrap(angle: float) -> float:

@@ -678,6 +678,68 @@ def test_pipeline_config_file_and_flag_precedence(tmp_path, variation_script):
     assert [r["seed"] for r in summary["variations"]] == [7, 8]
 
 
+BAD_CONFIG_VALUES = [
+    ("steps", "x"),
+    ("steps", 2.5),
+    ("map", 5),
+    ("variations", [1]),
+    ("variations", True),
+    ("strength", False),
+    ("dt", "0.05"),
+    ("prompt", None),
+    ("script", {"path": "a.scn"}),
+]
+
+
+@pytest.mark.parametrize("key,value", BAD_CONFIG_VALUES)
+def test_pipeline_rejects_mistyped_config_value(tmp_path, variation_script, capsys, key, value):
+    config = {
+        "script": str(variation_script),
+        "map": "straight",
+        "camera": _small_camera(tmp_path),
+        "steps": 5,
+        "variations": 2,
+        key: value,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(path), "-o", str(out)]) == 2
+    assert f"config key {key!r} must be" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("examples", "3"),
+        ("seed", 1.5),
+        ("temperature", True),
+        ("repair_limit", None),
+        ("type", 7),
+        ("base_url", 5),
+        ("model", ["m"]),
+    ],
+)
+def test_gen_rejects_mistyped_config_value(tmp_path, capsys, key, value):
+    with StubLLMServer([GOOD_RESPONSE]) as stub:
+        config = {"base_url": stub.base_url, "model": "m", "type": "vehicle-cut-in", key: value}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["gen", "--config", str(path), "-o", str(tmp_path / "gen")]) == 2
+        assert not stub.requests
+    assert f"config key {key!r} must be" in capsys.readouterr().err
+
+
+def test_config_numbers_accept_ints_for_floats(tmp_path, variation_script):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"strength": 1, "max_duration": 10, "dt": 0.05}))
+    out = tmp_path / "out"
+    code = main([*_pipeline_args(tmp_path, variation_script, out), "-n", "2", "--config", str(config)])
+    assert code == 0
+    assert json.loads((out / "summary.json").read_text())["strength"] == 1.0
+
+
 # --- stub-llm subcommand ------------------------------------------------
 
 
@@ -706,6 +768,30 @@ def test_stub_llm_serves_scripted_responses(tmp_path):
     finally:
         proc.terminate()
         proc.wait(timeout=10)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        5,
+        None,
+        ["a"],
+        {"content": 5},
+        {"status": "500"},
+        {"status": True},
+        {"body": "b"},
+        {"status": 500, "body": 1},
+    ],
+)
+def test_stub_llm_rejects_malformed_response_entry(tmp_path, capsys, monkeypatch, entry):
+    def refuse_to_serve(self):
+        raise AssertionError("the server started with a malformed entry")
+
+    monkeypatch.setattr(StubLLMServer, "start", refuse_to_serve)
+    responses = tmp_path / "responses.json"
+    responses.write_text(json.dumps(["fine", entry]))
+    assert main(["stub-llm", "--responses", str(responses)]) == 2
+    assert "bad responses file" in capsys.readouterr().err
 
 
 def test_console_script_entry_point(tmp_path):

@@ -1,6 +1,9 @@
 """Latent init, diffusion loop contract, mock denoiser, and bundles."""
 
+import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,6 +326,49 @@ def test_shorter_reexport_leaves_stale_frames_unlisted(tmp_path):
 
 def test_verify_without_manifest(tmp_path):
     assert verify_bundle(tmp_path) == [f"no manifest.json in {tmp_path}"]
+
+
+def test_verify_reports_files_list_as_unreadable(tmp_path):
+    (tmp_path / "manifest.json").write_text('{"version": 1, "files": []}')
+    assert verify_bundle(tmp_path) == [
+        f"unreadable manifest in {tmp_path}: 'files' is not an object"
+    ]
+
+
+def test_verify_reports_non_utf8_manifest_as_unreadable(tmp_path):
+    (tmp_path / "manifest.json").write_bytes(b'{"files": {"\xff": "00"}}')
+    [problem] = verify_bundle(tmp_path)
+    assert problem.startswith(f"unreadable manifest in {tmp_path}: ")
+
+
+@pytest.mark.parametrize("rel", ["../outside.txt", "frames/../../outside.txt", "ABSOLUTE"])
+def test_verify_never_opens_paths_outside_the_bundle(tmp_path, rel):
+    outside = tmp_path / "outside.txt"
+    outside.write_text("not part of the bundle")
+    if rel == "ABSOLUTE":
+        rel = str(outside)
+    digest = hashlib.sha256(outside.read_bytes()).hexdigest()
+    root = tmp_path / "b"
+    root.mkdir()
+    (root / "manifest.json").write_text(json.dumps({"version": 1, "files": {rel: digest}}))
+    assert verify_bundle(root) == [f"unsafe path: {rel}"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_any_one_byte_change_fails_verify(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "b"
+        manifest = export_bundle([_frame(i, shape=(8, 8)) for i in range(2)], "p", CONFIG, root)
+        rel = data.draw(st.sampled_from(sorted(manifest["files"])), label="file")
+        blob = bytearray((root / rel).read_bytes())
+        if data.draw(st.booleans(), label="truncate"):
+            del blob[-1]
+        else:
+            at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+            blob[at] ^= data.draw(st.integers(1, 255), label="mask")
+        (root / rel).write_bytes(bytes(blob))
+        assert verify_bundle(root) == [f"hash mismatch: {rel}"]
 
 
 def test_inconsistent_dims_names_the_frame(tmp_path):

@@ -198,6 +198,14 @@ def test_terminate_rejects_always():
     assert "found 'always'" in diags[0].message
 
 
+def test_terminate_trigger_error_does_not_offer_always():
+    ast, diags = parse_text("ego = new Car at (0.0, 0.0)\nterminate when foo\n")
+    assert ast is None
+    assert [d.message for d in errors(diags)] == [
+        "expected a terminate trigger ('time above', 'distance from ... to ego below'), found 'foo'"
+    ]
+
+
 def test_distribution_not_allowed_in_behavior_body():
     ast, diags = parse_text(
         "behavior Jitter():\n"

@@ -11,7 +11,7 @@ import pytest
 from scenekit.dsl import compile_script
 from scenekit.dsl.nodes import AgentClass
 from scenekit.dsl.sampler import SampleError, sample_parameters
-from scenekit.sim.classify import ClassifierConfig, CollisionClass, classify_collision
+from scenekit.sim.classify import CollisionClass, classify_collision
 from scenekit.sim.engine import PlacementError, SimConfig, run
 from scenekit.sim.geometry import (
     Box,
@@ -225,12 +225,6 @@ def test_rear_end_needs_shallow_angle_and_front_to_rear():
     assert classify_collision(car, car, 25.0, ("front", "rear")) is CollisionClass.OTHER
     # head-on is not a rear-end however shallow the angle
     assert classify_collision(car, car, 0.0, ("front", "front")) is CollisionClass.OTHER
-
-
-def test_classifier_thresholds_configurable():
-    car = AgentClass.CAR
-    config = ClassifierConfig(rear_end_max_deg=40.0)
-    assert classify_collision(car, car, 30.0, ("front", "rear"), config) is CollisionClass.REAR_END
 
 
 # --- world maps --------------------------------------------------------

@@ -6,9 +6,9 @@ bundles, or run everything end to end.  Exit codes are uniform: 0 success,
 1 domain failure (bad script, failed requirement, exhausted repair), 2
 environment failure (missing files, unreachable endpoint, bad config).
 
-Settings resolve as flags > environment > config file.  The endpoint reads
-SCENEKIT_LLM_BASE_URL, SCENEKIT_LLM_MODEL, and SCENEKIT_LLM_API_KEY when
-flags are absent.
+Every run setting is a row of SETTINGS and resolves as flag > config file >
+default; the endpoint settings read SCENEKIT_LLM_BASE_URL, SCENEKIT_LLM_MODEL
+and SCENEKIT_LLM_API_KEY between flag and config file.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
 import os
 import sys
 import time
@@ -36,7 +37,7 @@ from scenekit.render.cameras import Camera, CameraError, camera_from_dict, camer
 from scenekit.render.combine import combine_controls, load_weights, normalize_modality
 from scenekit.render.formats import write_pfm, write_pgm
 from scenekit.render.raster import edge_from_seg, prepare_static, render_frame
-from scenekit.sim.engine import PlacementError, SimConfig, run
+from scenekit.sim.engine import MAX_STEPS, PlacementError, SimConfig, run
 from scenekit.sim.requirements import check_requirements
 from scenekit.sim.traceio import read_trace_json, write_trace_json
 from scenekit.sim.worldmap import MapError, WorldMap, builtin_map, load_map
@@ -45,11 +46,71 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_ENV = 2
 
-DEFAULT_PROMPT = "sunny day"
-
 
 class CliError(Exception):
     """Environment-level failure; message goes to stderr, exit code 2."""
+
+
+_AT_LEAST_0 = (lambda v, s: v >= 0, "at least 0")
+_AT_LEAST_1 = (lambda v, s: v >= 1, "at least 1")
+
+# Every run setting, by flag dest (= config key): kind, default, range rule and
+# help.  A rule is (predicate on the value and the settings above it, what it
+# allows); a value out of range is a CliError.  `jobs` is flag-only.
+SETTINGS = {
+    "base_url": (str, None, None, "chat-completions endpoint base URL"),
+    "model": (str, None, None, "model name sent to the endpoint"),
+    "api_key": (str, None, None, "bearer token for the endpoint"),
+    "library": (str, None, None, "example library directory (default: built-in)"),
+    "type": (str, None, None, "scenario type to request"),
+    "script": (str, None, None, "pre-written script (skips the LLM stage)"),
+    "map": (str, None, None, "map name or path"),
+    "camera": (str, None, None, "camera JSON file (default: top-down over the map)"),
+    "weights": (str, "preset-a", None, "preset name or weights JSON file"),
+    "prompt": (str, "sunny day", (lambda v, s: v != "", "non-empty"), "denoiser text prompt"),
+    "examples": (int, 3, _AT_LEAST_1, "few-shot example count"),
+    "seed": (int, 0, _AT_LEAST_0, "sampling seed"),
+    "temperature": (float, 0.7, (lambda v, s: 0 <= v < math.inf, "finite and at least 0"),
+                    "sampling temperature"),
+    "repair_limit": (int, 2, _AT_LEAST_0, "repair rounds after the first try"),
+    "variations": (int, 20, _AT_LEAST_1, "variation count"),
+    "steps": (int, DEFAULT_STEPS, _AT_LEAST_1, "denoising steps per frame"),
+    "strength": (float, DEFAULT_STRENGTH, (lambda v, s: 0 <= v <= 1, "in [0, 1]"),
+                 "denoising strength"),
+    "dt": (float, 0.05, (lambda v, s: 0 < v < math.inf, "finite and above 0"),
+           "simulator step in seconds"),
+    "max_duration": (float, 30.0, (lambda v, s: 0 < v < math.inf and v / s.dt <= MAX_STEPS,
+                                   f"finite, above 0 and at most {MAX_STEPS} steps of --dt"),
+                     "simulated horizon in seconds"),
+    "jobs": (int, os.cpu_count() or 1, _AT_LEAST_1, "worker processes, one per CPU"),
+}
+
+
+def _resolve(args) -> None:
+    """Fill in every setting the subcommand has a flag for, then check its range.
+
+    The config file supplies only those keys, `jobs` excepted, and each value
+    it holds must be of the setting's kind (an int serves as a float, a
+    boolean as no number) whether or not a flag overrides it.
+    """
+    config = _read_config_file(getattr(args, "config", None))
+    for key, (kind, default, rule, _) in SETTINGS.items():
+        if not hasattr(args, key):
+            continue
+        name, value = f"--{key.replace('_', '-')}", getattr(args, key)
+        if value is None and key in ("base_url", "model", "api_key"):
+            value = os.environ.get(f"SCENEKIT_LLM_{key.upper()}") or None
+        if key in config and key != "jobs":
+            found = config[key]
+            accepted = (int, float) if kind is float else kind
+            if isinstance(found, bool) or not isinstance(found, accepted):
+                raise CliError(f"config key {key!r} must be {kind.__name__}, got {found!r}")
+            if value is None:
+                name, value = f"config key {key!r}", kind(found)
+        value = default if value is None else value
+        if rule is not None and value is not None and not rule[0](value, args):
+            raise CliError(f"{name} must be {rule[1]}, got {value!r}")
+        setattr(args, key, value)
 
 
 def _load_world(spec: str) -> WorldMap:
@@ -83,16 +144,6 @@ def _load_weight_spec(spec: str) -> dict[str, float]:
         raise CliError(f"bad weights {spec!r}: {e}") from e
 
 
-def _check_diffusion_args(prompt: str, steps: int, strength: float) -> None:
-    """Reject denoising flags that `run_diffusion` would refuse, before rendering."""
-    if steps < 1:
-        raise CliError(f"--steps must be at least 1, got {steps}")
-    if not 0.0 <= strength <= 1.0:  # also false for NaN
-        raise CliError(f"--strength must be in [0, 1], got {strength}")
-    if not prompt:
-        raise CliError("--prompt must be non-empty")
-
-
 def _read_config_file(path: str | None) -> dict:
     if path is None:
         return {}
@@ -105,47 +156,26 @@ def _read_config_file(path: str | None) -> dict:
     return data
 
 
-def _resolve_endpoint(args, config: dict) -> EndpointConfig:
-    """flags > environment > config file for the endpoint settings."""
-    env = os.environ
-    for key in ("base_url", "model", "api_key"):
-        _pick(None, config, key, None, str)  # a config-file value must be a string
-    base_url = args.base_url or env.get("SCENEKIT_LLM_BASE_URL") or config.get("base_url")
-    model = args.model or env.get("SCENEKIT_LLM_MODEL") or config.get("model")
-    api_key = args.api_key or env.get("SCENEKIT_LLM_API_KEY") or config.get("api_key")
-    if not base_url or not model:
+def _generate(args, **request):
+    """The generate-repair loop for the endpoint, library and type in `args`."""
+    if not args.base_url or not args.model:
         raise CliError(
             "endpoint not configured: pass --base-url/--model, set "
             "SCENEKIT_LLM_BASE_URL/SCENEKIT_LLM_MODEL, or use a config file"
         )
-    return EndpointConfig(base_url=base_url, model=model, api_key=api_key)
-
-
-_KIND_NAMES = {str: "a string", int: "an integer", float: "a number"}
-
-
-def _pick(flag_value, config: dict, key: str, default, kind: type):
-    """The flag if given, else the config-file value, else `default`.
-
-    A config-file value must be a `kind` (an int also serves as a float, a
-    boolean as no number); anything else is a CliError naming the key.
-    """
-    if flag_value is not None:
-        return flag_value
-    if key not in config:
-        return default
-    value = config[key]
-    accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        raise CliError(f"config key {key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
-    return kind(value)
-
-
-def _library(path: str | None):
+    endpoint = EndpointConfig(base_url=args.base_url, model=args.model, api_key=args.api_key)
     try:
-        return load_library(path) if path else builtin_library()
+        library = load_library(args.library) if args.library else builtin_library()
     except LibraryError as e:
         raise CliError(f"cannot load example library: {e}") from e
+    try:
+        scenario_type = ScenarioType.from_name(args.type or "")
+    except ValueError as e:
+        raise CliError(str(e)) from None
+    try:
+        return generate_scenario(GenerationRequest(scenario_type, **request), library, endpoint)
+    except (TransportError, ApiError) as e:
+        raise CliError(str(e)) from e
 
 
 def _read_script(path: str) -> str:
@@ -172,24 +202,13 @@ def cmd_validate(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    config = _read_config_file(args.config)
-    endpoint = _resolve_endpoint(args, config)
-    library = _library(_pick(args.library, config, "library", None, str))
-    try:
-        scenario_type = ScenarioType.from_name(_pick(args.type, config, "type", None, str) or "")
-    except ValueError as e:
-        raise CliError(str(e)) from None
-    request = GenerationRequest(
-        scenario_type=scenario_type,
-        k_examples=_pick(args.examples, config, "examples", 3, int),
-        seed=_pick(args.seed, config, "seed", 0, int),
-        temperature=_pick(args.temperature, config, "temperature", 0.7, float),
-        repair_limit=_pick(args.repair_limit, config, "repair_limit", 2, int),
+    transcript = _generate(
+        args,
+        k_examples=args.examples,
+        seed=args.seed,
+        temperature=args.temperature,
+        repair_limit=args.repair_limit,
     )
-    try:
-        transcript = generate_scenario(request, library, endpoint)
-    except (TransportError, ApiError) as e:
-        raise CliError(str(e)) from e
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "transcript.json").write_text(transcript.to_json() + "\n")
@@ -202,14 +221,6 @@ def cmd_gen(args) -> int:
     return EXIT_DOMAIN
 
 
-def _sim_config(args) -> SimConfig:
-    return SimConfig(
-        dt=args.dt,
-        max_duration=args.max_duration,
-        collision_stop=not args.no_collision_stop,
-    )
-
-
 def cmd_sim(args) -> int:
     text = _read_script(args.script)
     ast, diags = compile_script(text)
@@ -220,7 +231,8 @@ def cmd_sim(args) -> int:
     world = _load_world(args.map)
     try:
         scenario = sample_parameters(ast, seed=args.seed)
-        trace = run(scenario, world, _sim_config(args))
+        config = SimConfig(args.dt, args.max_duration, not args.no_collision_stop)
+        trace = run(scenario, world, config)
     except (SampleError, PlacementError) as e:
         print(json.dumps({"error": str(e)}))
         return EXIT_DOMAIN
@@ -319,7 +331,6 @@ def cmd_bundle(args) -> int:
         raise CliError("bundle needs a trace file (or --verify DIR)")
     if args.map is None or args.out is None:
         raise CliError("bundle needs --map and --out when building")
-    _check_diffusion_args(args.prompt, args.steps, args.strength)
     trace, world, camera, weights = _render_inputs(args)
     manifest = _export_trace(
         trace, world, camera, weights, args.prompt, args.steps, args.strength, args.seed, args.out
@@ -383,47 +394,22 @@ def _run_variation(task: dict) -> dict:
 
 
 def cmd_pipeline(args) -> int:
-    config = _read_config_file(args.config)
+    if args.map is None:
+        raise CliError("pipeline needs a map (--map or config)")
+    world = _load_world(args.map)
+    camera = _load_camera(args.camera, world)
+    weights = _load_weight_spec(args.weights)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    map_spec = _pick(args.map, config, "map", None, str)
-    if map_spec is None:
-        raise CliError("pipeline needs a map (--map or config)")
-    world = _load_world(map_spec)
-    camera = _load_camera(_pick(args.camera, config, "camera", None, str), world)
-    weights = _load_weight_spec(_pick(args.weights, config, "weights", "preset-a", str))
-    prompt = _pick(args.prompt, config, "prompt", DEFAULT_PROMPT, str)
-    steps = _pick(args.steps, config, "steps", DEFAULT_STEPS, int)
-    strength = _pick(args.strength, config, "strength", DEFAULT_STRENGTH, float)
-    n = _pick(args.variations, config, "variations", 20, int)
-    seed = _pick(args.seed, config, "seed", 0, int)
-    dt = _pick(args.dt, config, "dt", 0.05, float)
-    max_duration = _pick(args.max_duration, config, "max_duration", 30.0, float)
-    _check_diffusion_args(prompt, steps, strength)
-    if args.jobs is not None and args.jobs < 1:
-        raise CliError(f"--jobs must be at least 1, got {args.jobs}")
-    jobs = args.jobs or os.cpu_count() or 1
-
-    script_path = _pick(args.script, config, "script", None, str)
-    if script_path is not None:
-        script_text = _read_script(script_path)
-        scenario_type = None
+    scenario_type = None
+    if args.script is not None:
+        script_text = _read_script(args.script)
     else:
-        endpoint = _resolve_endpoint(args, config)
-        library = _library(_pick(args.library, config, "library", None, str))
-        type_name = _pick(args.type, config, "type", None, str)
-        if type_name is None:
+        if args.type is None:
             raise CliError("pipeline needs --script or a scenario --type for generation")
-        try:
-            scenario_type = ScenarioType.from_name(type_name)
-        except ValueError as e:
-            raise CliError(str(e)) from None
-        request = GenerationRequest(scenario_type=scenario_type, seed=seed)
-        try:
-            transcript = generate_scenario(request, library, endpoint)
-        except (TransportError, ApiError) as e:
-            raise CliError(str(e)) from e
+        transcript = _generate(args, seed=args.seed)
+        scenario_type = transcript.scenario_type
         (out / "transcript.json").write_text(transcript.to_json() + "\n")
         if transcript.outcome != "success":
             _print_json({"outcome": "exhausted", "rounds": len(transcript.rounds)})
@@ -439,7 +425,7 @@ def cmd_pipeline(args) -> int:
     (out / "script.scn").write_text(format_script(ast))
 
     try:
-        scenarios = sample_variations(ast, n, base_seed=seed)
+        scenarios = sample_variations(ast, args.variations, base_seed=args.seed)
     except (VariationError, SampleError, ValueError) as e:
         print(json.dumps({"error": str(e)}))
         return EXIT_DOMAIN
@@ -448,39 +434,39 @@ def cmd_pipeline(args) -> int:
         {
             "index": index,
             "scenario": scenario,
-            "map": map_spec,
+            "map": args.map,
             "camera": camera_to_dict(camera),
             "weights": weights,
-            "prompt": prompt,
-            "steps": steps,
-            "strength": strength,
-            "dt": dt,
-            "max_duration": max_duration,
+            "prompt": args.prompt,
+            "steps": args.steps,
+            "strength": args.strength,
+            "dt": args.dt,
+            "max_duration": args.max_duration,
             "out": str(out),
         }
         for index, scenario in enumerate(scenarios)
     ]
-    if jobs == 1 or len(tasks) == 1:
+    if args.jobs == 1 or len(tasks) == 1:
         rows = [_run_variation(t) for t in tasks]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_run_variation, tasks))
     rows.sort(key=lambda r: r["index"])
 
     summary = {
-        "map": map_spec,
-        "scenario_type": scenario_type.value if scenario_type else None,
-        "prompt": prompt,
-        "n": n,
-        "seed": seed,
+        "map": args.map,
+        "scenario_type": scenario_type,
+        "prompt": args.prompt,
+        "n": args.variations,
+        "seed": args.seed,
         "weights": weights,
-        "steps": steps,
-        "strength": strength,
+        "steps": args.steps,
+        "strength": args.strength,
         "passing": sum(1 for r in rows if r["passed"]),
         "variations": rows,
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    _print_json({"n": n, "passing": summary["passing"], "out": str(out)})
+    _print_json({"n": args.variations, "passing": summary["passing"], "out": str(out)})
     return EXIT_OK if summary["passing"] >= 1 else EXIT_DOMAIN
 
 
@@ -525,11 +511,14 @@ def cmd_stub_llm(args) -> int:
 # parser
 
 
-def _add_endpoint_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--base-url", help="chat-completions endpoint base URL")
-    p.add_argument("--model", help="model name sent to the endpoint")
-    p.add_argument("--api-key", help="bearer token for the endpoint")
-    p.add_argument("--library", help="example library directory (default: built-in)")
+def _add_settings(p: argparse.ArgumentParser, *keys: str, required: str = "") -> None:
+    """One flag per named setting; no argparse default, `_resolve` fills it in."""
+    for key in keys:
+        kind, default, _, text = SETTINGS[key]
+        flag = f"--{key.replace('_', '-')}"
+        flags = ("-n", flag) if key == "variations" else (flag,)
+        text += "" if default is None else f"; default {default}"
+        p.add_argument(*flags, type=kind, required=key == required, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -538,69 +527,44 @@ def build_parser() -> argparse.ArgumentParser:
         description="Scenario scripts to simulation traces to conditioning bundles.",
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
+    endpoint = ("base_url", "model", "api_key", "library", "type")
+    diffusion = ("camera", "weights", "prompt", "steps", "strength", "seed")
 
     p = sub.add_parser("validate", help="compile a script and print diagnostics")
     p.add_argument("script")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("gen", help="generate a script through an LLM endpoint")
-    _add_endpoint_flags(p)
+    _add_settings(p, *endpoint, "examples", "seed", "temperature", "repair_limit")
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--type", help="scenario type to request")
-    p.add_argument("--examples", type=int, help="few-shot example count (default 3)")
-    p.add_argument("--seed", type=int, help="selection and sampling seed (default 0)")
-    p.add_argument("--temperature", type=float, help="sampling temperature (default 0.7)")
-    p.add_argument("--repair-limit", type=int, help="repair rounds after the first try (default 2)")
     p.add_argument("-o", "--out", required=True, help="output directory")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("sim", help="sample one scenario and simulate it")
     p.add_argument("script")
-    p.add_argument("--map", required=True, help="map name or path")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dt", type=float, default=0.05)
-    p.add_argument("--max-duration", type=float, default=30.0)
+    _add_settings(p, "map", "seed", "dt", "max_duration", required="map")
     p.add_argument("--no-collision-stop", action="store_true")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_sim)
 
     p = sub.add_parser("render", help="render control maps from a trace")
     p.add_argument("trace", help="trace JSON file")
-    p.add_argument("--map", required=True)
-    p.add_argument("--camera", help="camera JSON file (default: top-down over the map)")
-    p.add_argument("--weights", default="preset-a", help="preset name or weights JSON file")
+    _add_settings(p, "map", "camera", "weights", required="map")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("bundle", help="build or verify a conditioning bundle")
     p.add_argument("trace", nargs="?", help="trace JSON file")
-    p.add_argument("--map")
-    p.add_argument("--camera")
-    p.add_argument("--weights", default="preset-a")
-    p.add_argument("--prompt", default=DEFAULT_PROMPT)
-    p.add_argument("--steps", type=int, default=DEFAULT_STEPS)
-    p.add_argument("--strength", type=float, default=DEFAULT_STRENGTH)
-    p.add_argument("--seed", type=int, default=0)
+    _add_settings(p, "map", *diffusion)
     p.add_argument("--verify", metavar="DIR", help="verify an existing bundle instead")
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_bundle)
 
     p = sub.add_parser("pipeline", help="script to bundles, end to end")
-    _add_endpoint_flags(p)
+    _add_settings(
+        p, *endpoint, "script", "map", "variations", *diffusion, "dt", "max_duration", "jobs"
+    )
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--script", help="pre-written script (skips the LLM stage)")
-    p.add_argument("--type", help="scenario type when generating")
-    p.add_argument("--map")
-    p.add_argument("-n", "--variations", type=int, help="variation count (default 20)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--camera")
-    p.add_argument("--weights")
-    p.add_argument("--prompt")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--strength", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--max-duration", type=float)
-    p.add_argument("--jobs", type=int, help="worker processes (default: CPU count)")
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_pipeline)
 
@@ -615,11 +579,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:  # argparse printed help (0) or a usage error (2)
+        return e.code
     if not hasattr(args, "func"):
         parser.print_help(sys.stderr)
         return EXIT_ENV
     try:
+        _resolve(args)
         return args.func(args)
     except CliError as e:
         print(str(e), file=sys.stderr)

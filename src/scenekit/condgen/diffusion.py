@@ -7,6 +7,7 @@ is the final raster.  Exactly `steps` backend calls happen, no more.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from typing import Protocol
 
@@ -90,8 +91,10 @@ class MockDenoiser:
         return out
 
 
+@functools.lru_cache(maxsize=64)
 def prompt_offset(prompt: str) -> float:
-    """Deterministic value in [-0.001, 0.001] from the prompt text."""
+    """Deterministic value in [-0.001, 0.001] from the prompt text, hashed
+    once per prompt rather than on every denoising step."""
     digest = hashlib.sha256(prompt.encode("utf-8")).digest()
     raw = int.from_bytes(digest[:8], "little")
     return (2.0 * raw / 2.0**64 - 1.0) * 0.001

@@ -120,12 +120,6 @@ class ConcreteScenario:
         """Everything that identifies the sampled values, minus the seed."""
         return (self.params, self.objects, self.requirements, self.termination)
 
-    def object_named(self, name: str) -> ConcreteObject:
-        for obj in self.objects:
-            if obj.name == name:
-                return obj
-        raise KeyError(name)
-
 
 # --------------------------------------------------------------------------
 # sampling

@@ -35,6 +35,7 @@ from scenekit.sim.worldmap import WorldMap
 
 LOOKAHEAD_MIN = 2.0  # metres
 LOOKAHEAD_TIME = 0.5  # seconds of travel
+MAX_STEPS = 100_000  # most steps one run may take: max_duration / dt
 
 
 class PlacementError(Exception):
@@ -43,15 +44,20 @@ class PlacementError(Exception):
 
 @dataclass
 class SimConfig:
+    """Step and horizon in seconds: both finite and positive, and at most
+    MAX_STEPS steps of `dt` fit in `max_duration`."""
+
     dt: float = 0.05
     max_duration: float = 30.0
     collision_stop: bool = True
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.max_duration <= 0:
-            raise ValueError(f"max_duration must be positive, got {self.max_duration}")
+        if not 0 < self.dt < math.inf:  # also false for NaN
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        if not 0 < self.max_duration < math.inf:
+            raise ValueError(f"max_duration must be finite and positive, got {self.max_duration}")
+        if self.max_duration / self.dt > MAX_STEPS:
+            raise ValueError(f"max_duration / dt must be at most {MAX_STEPS} steps")
 
 
 @dataclass
@@ -97,9 +103,6 @@ class Trace:
 
     def frame_time(self, index: int) -> float:
         return index * self.dt
-
-    def agent_track(self, name: str) -> list[AgentState]:
-        return [next(s for s in frame if s.name == name) for frame in self.frames]
 
 
 @dataclass

@@ -459,6 +459,7 @@ BAD_DIFFUSION_FLAGS = [
     (["--strength", "1.5"], "--strength"),
     (["--strength", "-0.1"], "--strength"),
     (["--prompt", ""], "--prompt"),
+    (["--seed", "-1"], "--seed"),  # a negative latent seed used to crash the export
 ]
 
 

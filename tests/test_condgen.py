@@ -207,6 +207,16 @@ def test_prompt_offset_bounds():
         assert prompt_offset(prompt) == prompt_offset(prompt)
 
 
+def test_prompt_hashed_once_per_diffusion_run(monkeypatch):
+    sha256 = hashlib.sha256
+    hashed = []
+    monkeypatch.setattr(hashlib, "sha256", lambda data: hashed.append(data) or sha256(data))
+    prompt_offset.cache_clear()
+    control = np.full((8, 8), 0.4, dtype=np.float32)
+    run_diffusion(MockDenoiser(), control, "hazy noon", steps=12, strength=0.8, seed=0)
+    assert hashed == [b"hazy noon"]
+
+
 def test_mock_rejects_dimension_mismatch():
     backend = MockDenoiser()
     with pytest.raises(DimensionMismatch):

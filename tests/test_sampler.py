@@ -17,6 +17,10 @@ def compile_ok(text):
     return ast
 
 
+def object_of(scenario, name):
+    return next(o for o in scenario.objects if o.name == name)
+
+
 def params_of(scenario):
     return dict(scenario.params)
 
@@ -26,7 +30,7 @@ def test_range_golden_value():
     scenario = sample_parameters(ast, 42)
     # random.Random(42).uniform(5, 15); first MT19937 draw for seed 42
     assert params_of(scenario)["g"] == 11.394267984578837
-    assert scenario.object_named("ego").spatial.x == 11.394267984578837
+    assert object_of(scenario, "ego").spatial.x == 11.394267984578837
 
 
 def test_choice_golden_value():
@@ -53,7 +57,8 @@ def test_param_refs_do_not_draw():
         "b = new Car behind ego by gap\n"
     )
     sc = sample_parameters(ast, 5)
-    assert sc.object_named("a").spatial.amount == sc.object_named("b").spatial.amount == params_of(sc)["gap"]
+    gap = params_of(sc)["gap"]
+    assert object_of(sc, "a").spatial.amount == object_of(sc, "b").spatial.amount == gap
 
 
 def test_constants_do_not_consume_randomness():
@@ -83,7 +88,7 @@ def test_draw_order_is_declaration_order():
     rng = random.Random(2020)
     assert params_of(sc)["first"] == rng.uniform(0.0, 1.0)
     assert params_of(sc)["second"] == rng.uniform(0.0, 1.0)
-    assert sc.object_named("ego").spatial.x == rng.uniform(0.0, 1.0)
+    assert object_of(sc, "ego").spatial.x == rng.uniform(0.0, 1.0)
 
 
 def test_behavior_args_bind_by_position():
@@ -92,7 +97,7 @@ def test_behavior_args_bind_by_position():
         "ego = new Car at (0.0, 0.0) with behavior Cruise(Range(8.0, 12.0))\n"
     )
     sc = sample_parameters(ast, 3)
-    behavior = sc.object_named("ego").behavior
+    behavior = object_of(sc, "ego").behavior
     assert behavior.args == (random.Random(3).uniform(8.0, 12.0),)
 
 
@@ -102,7 +107,7 @@ def test_trigger_owner_defaults_to_host_object():
         "ego = new Car at (0.0, 0.0)\n"
         "walker = new Pedestrian at (20.0, 3.0) with behavior Dart(1.5)\n"
     )
-    trig = sample_parameters(ast, 0).object_named("walker").behavior.trigger
+    trig = object_of(sample_parameters(ast, 0), "walker").behavior.trigger
     assert trig.kind == "distance"
     assert trig.obj == "walker"
     assert trig.value == 12.0
@@ -116,10 +121,10 @@ def test_default_dims_resolved_per_class():
         "b = new Bicycle at (-9.0, 5.0)\n"
     )
     sc = sample_parameters(ast, 0)
-    assert sc.object_named("ego").dims == (4.5, 2.0)
-    assert sc.object_named("t").dims == (8.0, 2.5)
-    assert sc.object_named("p").dims == (0.5, 0.5)
-    assert sc.object_named("b").dims == (1.8, 0.6)
+    assert object_of(sc, "ego").dims == (4.5, 2.0)
+    assert object_of(sc, "t").dims == (8.0, 2.5)
+    assert object_of(sc, "p").dims == (0.5, 0.5)
+    assert object_of(sc, "b").dims == (1.8, 0.6)
 
 
 def test_sampled_negative_dims_rejected():

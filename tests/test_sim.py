@@ -35,6 +35,10 @@ from scenekit.sim.worldmap import MapError, WorldMap, builtin_map, load_map
 FIXTURES = Path(__file__).parent / "data" / "fixtures"
 
 
+def _track(trace, name):
+    return [next(s for s in frame if s.name == name) for frame in trace.frames]
+
+
 def _fixture_trace(name, map_name, seed=0, config=SimConfig()):
     ast, diags = compile_script((FIXTURES / f"{name}.scn").read_text())
     assert ast is not None and diags == []
@@ -347,7 +351,7 @@ def test_cyclist_fixture_dart_is_triggered():
     assert event.classification is CollisionClass.VEHICLE_CYCLIST
     assert {event.agent_a, event.agent_b} == {"ego", "rider"}
     # the rider holds still until ego comes within the trigger distance
-    track = trace.agent_track("rider")
+    track = _track(trace, "rider")
     assert track[0].speed == 0.0
     moved = [i for i, s in enumerate(track) if s.speed > 0]
     assert moved and moved[0] > 20
@@ -371,7 +375,7 @@ def test_time_trigger_latches_brake():
         "ego = new Car on lane main_a at 10.0 with speed 12.0 with behavior EaseOff(3.0)\n"
         "terminate when time above 6.0\n"
     )
-    speeds = [s.speed for s in trace.agent_track("ego")]
+    speeds = [s.speed for s in _track(trace, "ego")]
     # constant until the trigger time (frame 20 sits at t=1.0)
     assert all(v == pytest.approx(12.0) for v in speeds[:21])
     # then monotone decay at rate*dt per frame down to zero, staying there
@@ -418,7 +422,7 @@ def test_collision_stop_false_freezes_participants():
     assert len(trace.events) == 1  # contact latched, not re-reported
     frame = trace.events[0].frame
     for name in ("ego", "lead"):
-        track = trace.agent_track(name)
+        track = _track(trace, name)
         after = track[frame + 1 :]
         assert all(s.speed == 0.0 for s in after)
         assert all((s.x, s.y) == (after[0].x, after[0].y) for s in after)
@@ -451,8 +455,8 @@ def test_cross_left_and_right_offsets():
         "terminate when time above 3.0\n",
         max_duration=5.0,
     )
-    left = trace.agent_track("l")[-1]
-    right = trace.agent_track("r")[-1]
+    left = _track(trace, "l")[-1]
+    right = _track(trace, "r")[-1]
     assert left.heading == pytest.approx(math.pi / 2.0)
     assert left.y > -10.0 and left.x == pytest.approx(0.0)
     assert right.heading == pytest.approx(-math.pi / 2.0)
@@ -466,7 +470,7 @@ def test_lane_follower_stays_on_centerline():
         "ego = new Car on lane main_a at 10.0 with speed 12.0 with behavior Cruise(12.0)\n"
         "terminate when time above 5.0\n"
     )
-    for state in trace.agent_track("ego"):
+    for state in _track(trace, "ego"):
         assert abs(state.y) < 1e-6
         assert abs(state.heading) < 1e-6
 
@@ -479,7 +483,7 @@ def test_lane_follower_continues_onto_successor():
         "terminate when time above 4.0\n",
         map_name="crossing",
     )
-    last = trace.agent_track("ego")[-1]
+    last = _track(trace, "ego")[-1]
     # started 10 m before the junction, still rolling 30 m later on e_out
     assert last.x > 10.0
     assert last.speed == pytest.approx(10.0)
@@ -492,7 +496,7 @@ def test_end_of_lane_without_successor_stops():
         "ego = new Car on lane main_a at 195.0 with speed 10.0 with behavior Cruise(10.0)\n",
         max_duration=3.0,
     )
-    last = trace.agent_track("ego")[-1]
+    last = _track(trace, "ego")[-1]
     assert last.speed == 0.0
     assert last.behavior_state == "stopped"
     assert last.x == pytest.approx(200.0)
@@ -527,6 +531,13 @@ def test_bad_sim_config_rejected():
         SimConfig(dt=0.0)
     with pytest.raises(ValueError):
         SimConfig(max_duration=-1.0)
+    with pytest.raises(ValueError):
+        SimConfig(dt=math.nan)
+    with pytest.raises(ValueError):
+        SimConfig(max_duration=math.inf)
+    with pytest.raises(ValueError):
+        SimConfig(dt=1e-9)  # 3e10 steps of the default 30 s horizon
+    assert SimConfig(dt=0.0001, max_duration=10.0).max_duration == 10.0  # the cap exactly
 
 
 def test_identical_runs_are_bitwise_equal():

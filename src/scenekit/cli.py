@@ -28,7 +28,7 @@ from scenekit.dsl import compile_script
 from scenekit.dsl.diagnostics import has_errors
 from scenekit.dsl.formatter import format_script
 from scenekit.dsl.sampler import SampleError, VariationError, sample_parameters, sample_variations
-from scenekit.promptgen.client import ApiError, EndpointConfig, TransportError
+from scenekit.promptgen.client import ApiError, EmptyResponseError, EndpointConfig, TransportError
 from scenekit.promptgen.generate import GenerationRequest, generate_scenario
 from scenekit.promptgen.library import LibraryError, builtin_library, load_library
 from scenekit.promptgen.stubserver import StubLLMServer
@@ -51,8 +51,16 @@ class CliError(Exception):
     """Environment-level failure; message goes to stderr, exit code 2."""
 
 
+MAX_VARIATIONS = 10_000  # most variations one pipeline run samples
+MAX_DENOISE_STEPS = 10_000  # most denoising steps per frame
+
 _AT_LEAST_0 = (lambda v, s: v >= 0, "at least 0")
 _AT_LEAST_1 = (lambda v, s: v >= 1, "at least 1")
+
+
+def _from_1_to(cap: int) -> tuple:
+    return (lambda v, s: 1 <= v <= cap, f"at least 1 and at most {cap}")
+
 
 # Every run setting, by flag dest (= config key): kind, default, range rule and
 # help.  A rule is (predicate on the value and the settings above it, what it
@@ -73,8 +81,8 @@ SETTINGS = {
     "temperature": (float, 0.7, (lambda v, s: 0 <= v < math.inf, "finite and at least 0"),
                     "sampling temperature"),
     "repair_limit": (int, 2, _AT_LEAST_0, "repair rounds after the first try"),
-    "variations": (int, 20, _AT_LEAST_1, "variation count"),
-    "steps": (int, DEFAULT_STEPS, _AT_LEAST_1, "denoising steps per frame"),
+    "variations": (int, 20, _from_1_to(MAX_VARIATIONS), "variation count"),
+    "steps": (int, DEFAULT_STEPS, _from_1_to(MAX_DENOISE_STEPS), "denoising steps per frame"),
     "strength": (float, DEFAULT_STRENGTH, (lambda v, s: 0 <= v <= 1, "in [0, 1]"),
                  "denoising strength"),
     "dt": (float, 0.05, (lambda v, s: 0 < v < math.inf, "finite and above 0"),
@@ -133,7 +141,7 @@ def _load_camera(spec: str | None, world: WorldMap) -> Camera:
         return camera_from_dict(data)
     except OSError as e:
         raise CliError(f"cannot read camera file {spec!r}: {e}") from e
-    except (UnicodeDecodeError, json.JSONDecodeError, CameraError) as e:
+    except (ValueError, CameraError) as e:  # ValueError: not UTF-8, not JSON, or an int too long to parse
         raise CliError(f"bad camera config {spec!r}: {e}") from e
 
 
@@ -174,7 +182,7 @@ def _generate(args, **request):
         raise CliError(str(e)) from None
     try:
         return generate_scenario(GenerationRequest(scenario_type, **request), library, endpoint)
-    except (TransportError, ApiError) as e:
+    except (TransportError, ApiError, EmptyResponseError) as e:
         raise CliError(str(e)) from e
 
 

@@ -9,6 +9,7 @@ kebab-case names such as `t-bone` are single words.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 from scenekit.dsl.diagnostics import Diagnostic, Severity, Span
@@ -24,14 +25,19 @@ class TokenKind(enum.Enum):
     COLON = ":"
 
 
-_SINGLE = {
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    "[": TokenKind.LBRACKET,
-    "]": TokenKind.RBRACKET,
-    "=": TokenKind.EQUALS,
-    ":": TokenKind.COLON,
-}
+_SINGLE = {kind.value: kind for kind in TokenKind if len(kind.value) == 1}
+
+# Blanks, commas and a comment are skipped as a prefix; then at most one
+# lexical class.  `[0-9]` is ASCII only, so Unicode digits never reach
+# float().  `[^\W\d]` also admits non-decimal numerals such as `²`, which
+# `tokenize` rejects unless the word starts with a letter or `_`.
+_TOKEN = re.compile(
+    r"[ \t\r,]*(?:#[^\n]*)?"
+    r"(?:(?P<newline>\n)"
+    r"|(?P<number>-?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<word>[^\W\d][\w-]*)"
+    r"|(?P<single>[()\[\]=:]))?"
+)
 
 
 @dataclass(frozen=True)
@@ -45,20 +51,6 @@ class Token:
         return f"Token({self.kind.name}, {self.text!r}, {self.span.line}:{self.span.col})"
 
 
-def _is_ascii_digit(ch: str) -> bool:
-    # str.isdigit() admits characters float() rejects (superscripts, Unicode
-    # numerals), so number scanning sticks to ASCII.
-    return "0" <= ch <= "9"
-
-
-def _is_word_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
-
-
-def _is_word_char(ch: str) -> bool:
-    return ch.isalnum() or ch in "_-"
-
-
 def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
     """Scan a script into tokens.
 
@@ -69,94 +61,26 @@ def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
     """
     tokens: list[Token] = []
     diags: list[Diagnostic] = []
-    line = 1
-    col = 1
-    i = 0
-    n = len(text)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, line_start, pos = 1, 0, 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        group = m.lastgroup
+        start, pos = m.span(group) if group else (m.end(), m.end())
+        if group == "newline":
+            line, line_start = line + 1, pos
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if ch == ",":
-            i += 1
-            col += 1
-            continue
-        if ch in _SINGLE:
-            tokens.append(Token(_SINGLE[ch], ch, Span(line, col, line, col + 1)))
-            i += 1
-            col += 1
-            continue
-        if _is_ascii_digit(ch) or (ch == "-" and i + 1 < n and _is_ascii_digit(text[i + 1])):
-            start_i, start_col = i, col
-            i, col = _scan_number(text, i, col)
-            lexeme = text[start_i:i]
-            tokens.append(
-                Token(
-                    TokenKind.NUMBER,
-                    lexeme,
-                    Span(line, start_col, line, col),
-                    value=float(lexeme),
-                )
-            )
-            continue
-        if _is_word_start(ch):
-            start_i, start_col = i, col
-            while i < n and _is_word_char(text[i]):
-                i += 1
-                col += 1
-            tokens.append(
-                Token(TokenKind.WORD, text[start_i:i], Span(line, start_col, line, col))
-            )
-            continue
-        diags.append(
-            Diagnostic(
-                Severity.ERROR,
-                Span(line, col, line, col + 1),
-                "E_LEX",
-                f"illegal character {ch!r}",
-            )
-        )
-        i += 1
-        col += 1
-
+        if group is None and pos == len(text):
+            break
+        lexeme = text[start:pos]
+        span = Span(line, start - line_start + 1, line, pos - line_start + 1)
+        if group == "number":
+            tokens.append(Token(TokenKind.NUMBER, lexeme, span, float(lexeme)))
+        elif group == "single":
+            tokens.append(Token(_SINGLE[lexeme], lexeme, span))
+        elif group == "word" and (lexeme[0].isalpha() or lexeme[0] == "_"):
+            tokens.append(Token(TokenKind.WORD, lexeme, span))
+        else:  # no class matches at `start`: one illegal character
+            where = Span.point(line, start - line_start + 1)
+            diags.append(Diagnostic(Severity.ERROR, where, "E_LEX", f"illegal character {text[start]!r}"))
+            pos = start + 1
     return tokens, diags
-
-
-def _scan_number(text: str, i: int, col: int) -> tuple[int, int]:
-    """Advance past `-?digits[.digits][(e|E)[+-]digits]`, returning (i, col)."""
-    n = len(text)
-    if text[i] == "-":
-        i += 1
-        col += 1
-    while i < n and _is_ascii_digit(text[i]):
-        i += 1
-        col += 1
-    if i + 1 < n and text[i] == "." and _is_ascii_digit(text[i + 1]):
-        i += 1
-        col += 1
-        while i < n and _is_ascii_digit(text[i]):
-            i += 1
-            col += 1
-    if i < n and text[i] in "eE":
-        j = i + 1
-        if j < n and text[j] in "+-":
-            j += 1
-        if j < n and _is_ascii_digit(text[j]):
-            while j < n and _is_ascii_digit(text[j]):
-                j += 1
-            col += j - i
-            i = j
-    return i, col

@@ -38,7 +38,6 @@ class EndpointConfig:
     timeout_s: float = 60.0
     attempts: int = 3
     backoff_s: float = 1.0
-    send_seed: bool = True
 
 
 def call_llm(
@@ -60,7 +59,7 @@ def call_llm(
         "messages": [{"role": "user", "content": prompt}],
         "temperature": temperature,
     }
-    if config.send_seed and seed is not None:
+    if seed is not None:
         payload["seed"] = seed
     headers = {"Content-Type": "application/json"}
     if config.api_key:

@@ -10,7 +10,7 @@ repair rounds.  Every round is recorded in a transcript for auditability.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from scenekit.dsl import compile_script, format_script
 from scenekit.dsl.diagnostics import Diagnostic, Severity, Span, diagnostics_json, only_errors
@@ -48,24 +48,7 @@ class Transcript:
     script: str | None = None  # canonical formatted text on success
 
     def to_json(self) -> str:
-        payload = {
-            "scenario_type": self.scenario_type,
-            "seed": self.seed,
-            "temperature": self.temperature,
-            "example_ids": self.example_ids,
-            "rounds": [
-                {
-                    "prompt": r.prompt,
-                    "response": r.response,
-                    "extracted": r.extracted,
-                    "diagnostics": r.diagnostics,
-                }
-                for r in self.rounds
-            ],
-            "outcome": self.outcome,
-            "script": self.script,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def generate_scenario(

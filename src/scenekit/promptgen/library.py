@@ -44,7 +44,8 @@ def load_library(path: Path | str) -> ExampleLibrary:
     """Load a library directory containing index.json plus script files.
 
     Every script must compile without errors; a broken entry fails the whole
-    load so a bad library cannot silently degrade few-shot quality.
+    load so a bad library cannot silently degrade few-shot quality.  A library
+    with no entries has no examples to offer and is an EmptyLibraryError.
     """
     root = Path(path)
     index_path = root / "index.json"
@@ -58,6 +59,8 @@ def load_library(path: Path | str) -> ExampleLibrary:
     raw_entries = index.get("entries") if isinstance(index, dict) else None
     if not isinstance(raw_entries, list):
         raise LibraryError(f"{index_path}: expected an object with an 'entries' list")
+    if not raw_entries:
+        raise EmptyLibraryError(f"{index_path}: the library has no entries")
 
     entries: list[LibraryEntry] = []
     seen_ids: set[str] = set()

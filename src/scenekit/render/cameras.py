@@ -8,7 +8,10 @@ degrees, matching script text; renderers convert internally.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+MAX_IMAGE_SIDE = 4096  # most pixels along one image side; rasters are side x side arrays
 
 
 class CameraError(Exception):
@@ -40,7 +43,8 @@ class TopDownCamera:
     far_plane: float = 100.0
 
     def __post_init__(self):
-        _require(self.width > 0 and self.height > 0, "image dims must be positive")
+        _require(0 < self.width <= MAX_IMAGE_SIDE and 0 < self.height <= MAX_IMAGE_SIDE,
+                 f"image sides must be in [1, {MAX_IMAGE_SIDE}]")
         _require(self.meters_per_pixel > 0, "meters_per_pixel must be positive")
         _require(self.ortho_height > 0, "ortho_height must be positive")
         _require(self.far_plane > 0, "far_plane must be positive")
@@ -69,7 +73,8 @@ class PinholeCamera:
     far_plane: float = 100.0
 
     def __post_init__(self):
-        _require(self.width > 0 and self.height > 0, "image dims must be positive")
+        _require(0 < self.width <= MAX_IMAGE_SIDE and 0 < self.height <= MAX_IMAGE_SIDE,
+                 f"image sides must be in [1, {MAX_IMAGE_SIDE}]")
         _require(self.focal_px > 0, "focal_px must be positive")
         _require(self.far_plane > 0, "far_plane must be positive")
 
@@ -108,42 +113,58 @@ def camera_to_dict(camera: Camera) -> dict:
     }
 
 
+def _finite(value, name: str) -> float:
+    # type() rather than isinstance(): a JSON boolean is no number
+    _require(type(value) in (int, float) and math.isfinite(value), f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def camera_from_dict(data: dict) -> Camera:
+    """Build a camera from its JSON form; any bad value raises CameraError.
+
+    Every float field must be a finite JSON number (an integer serves), and
+    width and height JSON integers (not booleans) of at most MAX_IMAGE_SIDE.
+    """
     try:
         variant = data["variant"]
     except (KeyError, TypeError):
         raise CameraError("camera config needs a 'variant' key") from None
+
+    def number(key: str, default: float) -> float:
+        return _finite(data.get(key, default), key)
+
     try:
+        sides = {key: data.get(key, 512) for key in ("width", "height")}
+        _require(all(type(side) is int for side in sides.values()), f"width and height must be integers: {sides}")
         if variant == "topdown":
             cx, cy = data.get("center", (0.0, 0.0))
             return TopDownCamera(
-                center_x=float(cx),
-                center_y=float(cy),
-                meters_per_pixel=float(data.get("meters_per_pixel", 0.1)),
-                width=int(data.get("width", 512)),
-                height=int(data.get("height", 512)),
-                ortho_height=float(data.get("ortho_height", 50.0)),
-                far_plane=float(data.get("far_plane", 100.0)),
+                center_x=_finite(cx, "center"),
+                center_y=_finite(cy, "center"),
+                meters_per_pixel=number("meters_per_pixel", 0.1),
+                ortho_height=number("ortho_height", 50.0),
+                far_plane=number("far_plane", 100.0),
+                **sides,
             )
         if variant == "pinhole":
             x, y, z = data["position"]
             principal = data.get("principal")
+            cx, cy = (None, None) if principal is None else (_finite(v, "principal") for v in principal)
             return PinholeCamera(
-                x=float(x),
-                y=float(y),
-                z=float(z),
-                yaw_deg=float(data.get("yaw_deg", 0.0)),
-                pitch_deg=float(data.get("pitch_deg", 0.0)),
-                focal_px=float(data.get("focal_px", 256.0)),
-                width=int(data.get("width", 512)),
-                height=int(data.get("height", 512)),
-                cx=None if principal is None else float(principal[0]),
-                cy=None if principal is None else float(principal[1]),
-                far_plane=float(data.get("far_plane", 100.0)),
+                x=_finite(x, "position"),
+                y=_finite(y, "position"),
+                z=_finite(z, "position"),
+                yaw_deg=number("yaw_deg", 0.0),
+                pitch_deg=number("pitch_deg", 0.0),
+                focal_px=number("focal_px", 256.0),
+                cx=cx,
+                cy=cy,
+                far_plane=number("far_plane", 100.0),
+                **sides,
             )
     except CameraError:
         raise
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:  # Overflow: an int past float range
         raise CameraError(f"malformed camera config: {e}") from None
     raise CameraError(f"unknown camera variant {variant!r}")
 

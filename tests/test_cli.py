@@ -1,6 +1,7 @@
 """Subcommand behavior and exit-code contract."""
 
 import json
+import math
 import subprocess
 import sys
 import time
@@ -12,6 +13,7 @@ import requests
 
 from scenekit.cli import main
 from scenekit.promptgen.stubserver import StubLLMServer
+from scenekit.render.cameras import MAX_IMAGE_SIDE, camera_from_dict
 from scenekit.render.formats import read_pfm, read_pgm
 
 FIXTURES = Path(__file__).parent / "data" / "fixtures"
@@ -162,6 +164,7 @@ BAD_LIBRARIES = {
     "entry_id_not_string": (json.dumps({"entries": [{**ENTRY, "id": [1]}]}).encode(), LIBRARY_SCRIPT),
     "index_not_utf8": (b'{"entries": [], "x": "\xff\xfe"}', LIBRARY_SCRIPT),
     "script_not_utf8": (json.dumps({"entries": [ENTRY]}).encode(), b"ego = new Car \xff\xfe\n"),
+    "no_entries": (b'{"entries": []}', LIBRARY_SCRIPT),
 }
 
 
@@ -191,6 +194,31 @@ def test_gen_rejects_malformed_library(tmp_path, capsys, case):
         assert not stub.requests
     assert code == 2
     assert "cannot load example library" in capsys.readouterr().err
+
+
+def _llm_argv(command, base_url, out, *extra):
+    argv = [command, "--base-url", base_url, "--model", "m", "--type", "rear-end-collision"]
+    return [*argv, *(["--map", "straight"] if command == "pipeline" else []), *extra, "-o", str(out)]
+
+
+@pytest.mark.parametrize("command", ["gen", "pipeline"])
+def test_blank_completion_is_env_failure(tmp_path, capsys, command):
+    with StubLLMServer(["   "]) as stub:
+        assert main(_llm_argv(command, stub.base_url, tmp_path / "out")) == 2
+        assert len(stub.requests) == 1
+    assert "empty completion" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "transcript.json").exists()
+
+
+def test_pipeline_rejects_empty_library(tmp_path, capsys):
+    library = tmp_path / "lib"
+    library.mkdir()
+    (library / "index.json").write_bytes(BAD_LIBRARIES["no_entries"][0])
+    with StubLLMServer([GOOD_RESPONSE]) as stub:
+        assert main(_llm_argv("pipeline", stub.base_url, tmp_path / "out", "--library", str(library))) == 2
+        assert not stub.requests
+    assert "cannot load example library" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "transcript.json").exists()
 
 
 # --- sim ----------------------------------------------------------------
@@ -350,6 +378,56 @@ def test_render_unknown_preset(tmp_path, short_trace, capsys):
 def test_render_rejects_non_utf8_camera_file(tmp_path, short_trace, capsys):
     camera = tmp_path / "camera.json"
     camera.write_bytes(b'{"variant": "\xff\xfe"}')
+    code = main(
+        ["render", str(short_trace), "--map", "straight", "--camera", str(camera), "-o", str(tmp_path / "r")]
+    )
+    assert code == 2
+    assert "bad camera config" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+TOPDOWN = {"variant": "topdown", "center": [30.0, 0.0], "meters_per_pixel": 0.5, "width": 48, "height": 48}
+PINHOLE = {"variant": "pinhole", "position": [20.0, 0.0, 1.5], "principal": [16.0, 16.0], "width": 32, "height": 32}
+BAD_CAMERA_VALUES = [
+    (TOPDOWN, "center", [math.nan, 0.0]),
+    (TOPDOWN, "center", [0.0, math.inf]),
+    (TOPDOWN, "meters_per_pixel", math.inf),
+    (TOPDOWN, "ortho_height", math.inf),
+    (TOPDOWN, "far_plane", "100"),
+    (TOPDOWN, "width", True),
+    (TOPDOWN, "width", 1.5),
+    (TOPDOWN, "height", MAX_IMAGE_SIDE + 1),
+    (PINHOLE, "position", [20.0, -math.inf, 1.5]),
+    (PINHOLE, "yaw_deg", math.nan),
+    (PINHOLE, "pitch_deg", math.inf),
+    (PINHOLE, "focal_px", math.inf),
+    (PINHOLE, "principal", [math.nan, 16.0]),
+    (PINHOLE, "far_plane", math.inf),
+    (PINHOLE, "width", False),
+    (PINHOLE, "height", 32.0),
+    (PINHOLE, "width", MAX_IMAGE_SIDE + 1),
+]
+
+
+@pytest.mark.parametrize(
+    "base,field,value", BAD_CAMERA_VALUES, ids=[f"{b['variant']}-{f}-{v}" for b, f, v in BAD_CAMERA_VALUES]
+)
+def test_render_rejects_bad_camera_value(tmp_path, short_trace, capsys, base, field, value):
+    # the base camera loads, at the largest side too; only the one swapped value is bad
+    camera_from_dict({**base, "width": MAX_IMAGE_SIDE})
+    camera = tmp_path / "camera.json"
+    camera.write_text(json.dumps({**base, field: value}))
+    code = main(
+        ["render", str(short_trace), "--map", "straight", "--camera", str(camera), "-o", str(tmp_path / "r")]
+    )
+    assert code == 2
+    assert "bad camera config" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_render_rejects_camera_integer_too_long_to_parse(tmp_path, short_trace, capsys):
+    camera = tmp_path / "camera.json"
+    camera.write_text('{"variant": "topdown", "width": ' + "1" * 5000 + "}")
     code = main(
         ["render", str(short_trace), "--map", "straight", "--camera", str(camera), "-o", str(tmp_path / "r")]
     )

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from scenekit.cli import SETTINGS, build_parser, main
+from scenekit.cli import MAX_DENOISE_STEPS, MAX_VARIATIONS, SETTINGS, build_parser, main
 from scenekit.promptgen.stubserver import StubLLMServer
 
 FIXTURES = Path(__file__).parent / "data" / "fixtures"
@@ -88,8 +88,9 @@ def _refused(key: str, value) -> bool:
         return True  # no numeric setting takes these (ints refuse NaN and inf by kind)
     if value == 0:
         return key in ("examples", "variations", "steps", "dt", "max_duration", "jobs")
-    # 10**18: above 1, or past the step cap; so --jobs is never drawn positive
-    return key in ("strength", "max_duration")
+    # 10**18: above 1, or past a cap of 10,000 variations, 10,000 denoising
+    # steps or 100,000 simulator steps; so --jobs is never drawn positive
+    return key in ("strength", "max_duration", "variations", "steps")
 
 
 def _tree(root: Path) -> list[str]:
@@ -221,6 +222,26 @@ def test_pipeline_rejects_no_variations_before_writing(
     named = "config key 'variations'" if from_config else "--variations"
     assert f"{named} must be at least 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,cap", [("-n", MAX_VARIATIONS), ("--steps", MAX_DENOISE_STEPS)])
+def test_pipeline_caps_variations_and_steps(tmp_path, inputs, capsys, flag, cap):
+    assert cap == 10_000
+    script = tmp_path / "fixed.scn"
+    script.write_text("ego = new Car on lane main_a at 5.0 with speed 3.0\n")
+    argv = ["pipeline", "--script", str(script), "--map", "straight", "--camera", inputs["camera"], "-n", "2"]
+    # at the cap the settings pass; the script has no distribution, so sampling fails (exit 1)
+    assert main([*argv, flag, str(cap), "-o", str(tmp_path / "at")]) == 1
+    assert main([*argv, flag, str(cap + 1), "-o", str(tmp_path / "above")]) == 2
+    assert f"must be at least 1 and at most {cap}, got {cap + 1}" in capsys.readouterr().err
+    assert not (tmp_path / "above").exists()
+
+
+def test_bundle_caps_steps(tmp_path, inputs, capsys):
+    argv = ["bundle", inputs["trace"], "--map", "straight", "--camera", inputs["camera"]]
+    assert main([*argv, "--steps", str(MAX_DENOISE_STEPS + 1), "-o", str(tmp_path / "b")]) == 2
+    assert "--steps must be at least 1 and at most" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
 
 
 # --- config-file strictness and precedence -----------------------------------

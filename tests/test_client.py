@@ -40,12 +40,10 @@ def test_round_trip_and_wire_shape():
         assert stub.request_headers[0]["content-type"] == "application/json"
 
 
-def test_seed_omitted_when_disabled():
-    with StubLLMServer(["ok", "ok"]) as stub:
-        call_llm(_config(stub, send_seed=False), "p", 0.0, seed=7)
+def test_seed_omitted_when_none():
+    with StubLLMServer(["ok"]) as stub:
         call_llm(_config(stub), "p", 0.0, seed=None)
         assert "seed" not in stub.requests[0]
-        assert "seed" not in stub.requests[1]
 
 
 def test_http_error_is_not_retried():

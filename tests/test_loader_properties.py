@@ -5,7 +5,9 @@ swapped for arbitrary JSON, so the checks run past the top level.
 """
 
 import copy
+import dataclasses
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenekit.promptgen.library import LibraryError, load_library
+from scenekit.render.cameras import MAX_IMAGE_SIDE, CameraError, camera_from_dict
 from scenekit.render.combine import load_weights
 from scenekit.sim.traceio import TraceError, read_trace_json
 
@@ -55,6 +58,12 @@ GOOD_INDEX = {
     ]
 }
 GOOD_WEIGHTS = {"seg": 0.2, "depth": 0.3, "edge": 0.4}
+GOOD_CAMERAS = [
+    {"variant": "topdown", "center": [1.0, 2.0], "meters_per_pixel": 0.1, "width": 64, "height": 48,
+     "ortho_height": 50.0, "far_plane": 100.0},
+    {"variant": "pinhole", "position": [1.0, 2.0, 3.0], "yaw_deg": 30.0, "pitch_deg": 10.0,
+     "focal_px": 128.0, "principal": [32.0, 24.0], "width": 64, "height": 48, "far_plane": 100.0},
+]
 
 
 def _paths(value, prefix=()):
@@ -130,3 +139,17 @@ def test_library_loader_loads_or_raises_library_error(value):
             load_library(tmp)
         except LibraryError:
             pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(*(_swapped(good) for good in GOOD_CAMERAS)))
+def test_camera_loader_loads_or_raises_camera_error(value):
+    try:
+        camera = camera_from_dict(value)
+    except CameraError:
+        return
+    for name, field in dataclasses.asdict(camera).items():
+        if name in ("width", "height"):
+            assert type(field) is int and 1 <= field <= MAX_IMAGE_SIDE
+        else:
+            assert field is None or (type(field) is float and math.isfinite(field))

@@ -1,5 +1,9 @@
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from scenekit.dsl import Token, TokenKind, tokenize
 from scenekit.dsl.diagnostics import Severity
 
@@ -111,3 +115,61 @@ def test_token_text_matches_source_slice():
     tokens, _ = tokenize(text)
     for tok in tokens:
         assert text[tok.span.col - 1 : tok.span.end_col - 1] == tok.text
+
+
+# --- Unicode word starts and a property over arbitrary text ----------------------
+
+
+@pytest.mark.parametrize("ch", ["²", "½", "Ⅻ", "٣", "𝟘"])
+def test_unicode_numeral_cannot_start_a_word(ch):
+    # str.isalnum() but not str.isalpha(): a word character, never a word start
+    tokens, diags = tokenize(f"{ch}ab a{ch}")
+    assert [(d.code, d.span.col, d.span.end_col) for d in diags] == [("E_LEX", 1, 2)]
+    assert [(t.kind, t.text) for t in tokens] == [(TokenKind.WORD, "ab"), (TokenKind.WORD, f"a{ch}")]
+
+
+@pytest.mark.parametrize("ch", ["é", "ǅ"])
+def test_unicode_letter_starts_a_word(ch):
+    tokens, diags = tokenize(f"{ch}-x")
+    assert not diags
+    assert [(t.kind, t.text) for t in tokens] == [(TokenKind.WORD, f"{ch}-x")]
+
+
+SYNTAX = st.sampled_from(list("aZ_09-.eE+ ()[]=:,#\n\t\r@"))
+TEXT = st.text(SYNTAX | st.characters(), max_size=40)
+
+
+def _offset(text, line, col):
+    return sum(len(row) + 1 for row in text.split("\n")[: line - 1]) + col - 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=TEXT)
+def test_tokens_slice_the_source_in_order(text):
+    tokens, diags = tokenize(text)
+    for tok in tokens:
+        assert tok.span.line == tok.span.end_line
+        start, end = _offset(text, tok.span.line, tok.span.col), _offset(text, tok.span.line, tok.span.end_col)
+        assert text[start:end] == tok.text
+        assert tok.value == (float(tok.text) if tok.kind is TokenKind.NUMBER else None)
+    for diag in diags:
+        start = _offset(text, diag.span.line, diag.span.col)
+        assert diag.message == f"illegal character {text[start]!r}"
+    spans = sorted(
+        (_offset(text, s.line, s.col), _offset(text, s.end_line, s.end_col))
+        for s in [t.span for t in tokens] + [d.span for d in diags]
+    )
+    assert all(a_end <= b_start for (_, a_end), (b_start, _) in zip(spans, spans[1:]))
+    for items in (tokens, diags):
+        starts = [_offset(text, x.span.line, x.span.col) for x in items]
+        assert starts == sorted(set(starts))
+
+
+@settings(max_examples=400, deadline=None)
+@given(ch=st.characters())
+def test_word_start_and_word_char_classes(ch):
+    tokens, _ = tokenize(f"{ch}a")
+    starts = [(t.kind, t.text) for t in tokens] == [(TokenKind.WORD, f"{ch}a")]
+    assert starts == (ch.isalpha() or ch == "_")
+    tokens, _ = tokenize(f"a{ch}")
+    assert (tokens[0].text == f"a{ch}") == (ch.isalnum() or ch in "_-")

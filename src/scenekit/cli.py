@@ -157,7 +157,7 @@ def _read_config_file(path: str | None) -> dict:
         return {}
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: not UTF-8, not JSON, or an int too long to parse
         raise CliError(f"cannot read config file {path!r}: {e}") from e
     if not isinstance(data, dict):
         raise CliError(f"config file {path!r} must hold a JSON object")
@@ -408,16 +408,17 @@ def cmd_pipeline(args) -> int:
     camera = _load_camera(args.camera, world)
     weights = _load_weight_spec(args.weights)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     scenario_type = None
     if args.script is not None:
         script_text = _read_script(args.script)
+        out.mkdir(parents=True, exist_ok=True)
     else:
         if args.type is None:
             raise CliError("pipeline needs --script or a scenario --type for generation")
         transcript = _generate(args, seed=args.seed)
         scenario_type = transcript.scenario_type
+        out.mkdir(parents=True, exist_ok=True)
         (out / "transcript.json").write_text(transcript.to_json() + "\n")
         if transcript.outcome != "success":
             _print_json({"outcome": "exhausted", "rounds": len(transcript.rounds)})
@@ -482,7 +483,7 @@ def cmd_stub_llm(args) -> int:
     if args.responses is not None:
         try:
             responses = json.loads(Path(args.responses).read_text())
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+        except (OSError, ValueError) as e:  # ValueError: not UTF-8, not JSON, or an int too long to parse
             raise CliError(f"cannot read responses file: {e}") from e
         if not isinstance(responses, list) or not responses:
             raise CliError("responses file must hold a non-empty JSON list")

@@ -5,7 +5,11 @@ same pass.  Classes paint in id order (background lowest, agents on top),
 so the raster is deterministic for any agent ordering.  The top-down depth
 is a pseudo-depth: the camera hovers at a fixed height and each pixel reads
 that height minus the height of whatever covers it.  The pinhole depth is
-the true ray distance to the first surface.
+the true ray distance to the first surface.  Under the pinhole camera each
+agent is tested only against the rays in its pixel window, the bounding
+rectangle of its box's projected corners; a box with a corner at or
+behind the camera plane has no such window and is tested against the
+full grid.
 """
 
 from __future__ import annotations
@@ -203,13 +207,49 @@ def _paint_topdown(
     sub_depth[mask] = pseudo
 
 
+# A box with a corner at or below this forward depth (meters) crosses the
+# camera plane, so its projected corners do not bound the rays that hit it.
+MIN_WINDOW_DEPTH = 1e-6
+
+
+def _pixel_window(camera: PinholeCamera, agent: AgentState) -> tuple[slice, slice] | None:
+    """Rows and columns of the pixels whose rays can hit the agent's box.
+
+    The window is the bounding rectangle of the box's 8 projected corners,
+    one pixel wider on every side and clamped to the image; None when that
+    is empty.  A box with a corner at or behind the camera plane gets the
+    full grid.
+    """
+    forward, right, up = _camera_basis(camera)
+    corners = np.zeros((8, 3))
+    corners[:, :2] = np.tile(box_corners(agent.box()), (2, 1))
+    corners[4:, 2] = CLASS_HEIGHTS[agent.klass]
+    rel = corners - np.array([camera.x, camera.y, camera.z])
+    ahead = rel @ forward
+    if ahead.min() <= MIN_WINDOW_DEPTH:
+        return slice(None), slice(None)
+    # Inverse of the pixel-center rays in _prepare_pinhole.
+    cx, cy = camera.principal
+    cols = cx + camera.focal_px * (rel @ right) / ahead - 0.5
+    rows = cy - camera.focal_px * (rel @ up) / ahead - 0.5
+    j0 = max(0, math.floor(cols.min()) - 1)
+    j1 = min(camera.width, math.ceil(cols.max()) + 2)
+    i0 = max(0, math.floor(rows.min()) - 1)
+    i1 = min(camera.height, math.ceil(rows.max()) + 2)
+    if j0 >= j1 or i0 >= i1:
+        return None
+    return slice(i0, i1), slice(j0, j1)
+
+
 def _ray_box_hits(
     origin: np.ndarray, dirs: np.ndarray, agent: AgentState
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Slab intersection of every pixel ray with one agent's 3D box.
+    """Slab intersection of each ray in `dirs` with one agent's 3D box.
 
-    Returns (hit mask, entry distance) over the image grid.  The box stands
-    on the ground plane with the agent's footprint and class height.
+    Returns (hit mask, entry distance) over the rays given: `render_frame`
+    passes the agent's pixel window, or the full grid when the box reaches
+    the camera plane.  The box stands on the ground plane with the agent's
+    footprint and class height.
     """
     c, s = math.cos(agent.heading), math.sin(agent.heading)
     ox = (origin[0] - agent.x) * c + (origin[1] - agent.y) * s
@@ -259,10 +299,15 @@ def render_frame(
     best_t = depth.astype(np.float64)
     for k in order:
         agent = agents[k]
-        hit, entry = _ray_box_hits(static.origin, static.dirs, agent)
-        closer = hit & (entry < best_t) & (entry < camera.far_plane)
-        best_t = np.where(closer, entry, best_t)
-        seg[closer] = int(seg_class_of(agent.klass))
+        window = _pixel_window(camera, agent)
+        if window is None:
+            continue
+        hit, entry = _ray_box_hits(static.origin, static.dirs[window], agent)
+        # Basic slices are views, so these writes land in best_t and seg.
+        sub_t = best_t[window]
+        closer = hit & (entry < sub_t) & (entry < camera.far_plane)
+        sub_t[closer] = entry[closer]
+        seg[window][closer] = int(seg_class_of(agent.klass))
     return seg, best_t.astype(np.float32)
 
 

@@ -207,7 +207,7 @@ def test_blank_completion_is_env_failure(tmp_path, capsys, command):
         assert main(_llm_argv(command, stub.base_url, tmp_path / "out")) == 2
         assert len(stub.requests) == 1
     assert "empty completion" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "transcript.json").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_pipeline_rejects_empty_library(tmp_path, capsys):
@@ -218,7 +218,7 @@ def test_pipeline_rejects_empty_library(tmp_path, capsys):
         assert main(_llm_argv("pipeline", stub.base_url, tmp_path / "out", "--library", str(library))) == 2
         assert not stub.requests
     assert "cannot load example library" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "transcript.json").exists()
+    assert not (tmp_path / "out").exists()
 
 
 # --- sim ----------------------------------------------------------------
@@ -871,6 +871,38 @@ def test_stub_llm_rejects_malformed_response_entry(tmp_path, capsys, monkeypatch
     responses.write_text(json.dumps(["fine", entry]))
     assert main(["stub-llm", "--responses", str(responses)]) == 2
     assert "bad responses file" in capsys.readouterr().err
+
+
+# json.loads raises a plain ValueError for an integer over 4,300 digits.
+TOO_LONG_INT = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "flag, text, message",
+    [
+        ("--config", '{"seed": ' + TOO_LONG_INT + "}", "cannot read config file"),
+        ("--map", '{"lanes": [], "x": ' + TOO_LONG_INT + "}", "malformed map JSON"),
+        ("--responses", "[" + TOO_LONG_INT + "]", "cannot read responses file"),
+    ],
+    ids=["pipeline-config", "pipeline-map", "stub-llm-responses"],
+)
+def test_json_integer_too_long_to_parse_is_env_failure(
+    tmp_path, variation_script, capsys, monkeypatch, flag, text, message
+):
+    def refuse_to_serve(self):
+        raise AssertionError("the server started with an unreadable responses file")
+
+    monkeypatch.setattr(StubLLMServer, "start", refuse_to_serve)
+    path = tmp_path / "big.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    if flag == "--responses":
+        argv = ["stub-llm", "--responses", str(path)]
+    else:
+        argv = _pipeline_args(tmp_path, variation_script, out, ["-n", "1", flag, str(path)])
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_console_script_entry_point(tmp_path):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scenekit.dsl.nodes import AgentClass
 from scenekit.render import (
@@ -18,6 +20,7 @@ from scenekit.render import (
     render_frame,
 )
 from scenekit.render.cameras import CameraError
+from scenekit.render.raster import _pixel_window, _ray_box_hits, seg_class_of
 from scenekit.sim.engine import AgentState
 from scenekit.sim.worldmap import WorldMap, builtin_map
 
@@ -244,6 +247,118 @@ def test_prepare_static_reuse_matches_fresh_render():
     # the cached layers must not be mutated by rendering
     c = render_frame([], world, camera, static)
     assert (c[0] == static.seg).all()
+
+
+def _full_grid_render(agents, camera, static):
+    """Every agent tested against every ray: the oracle for render_frame."""
+    seg = static.seg.copy()
+    best_t = static.depth.astype(np.float64)
+    for agent in sorted(agents, key=lambda a: int(seg_class_of(a.klass))):
+        hit, entry = _ray_box_hits(static.origin, static.dirs, agent)
+        closer = hit & (entry < best_t) & (entry < camera.far_plane)
+        best_t = np.where(closer, entry, best_t)
+        seg[closer] = int(seg_class_of(agent.klass))
+    return seg, best_t.astype(np.float32)
+
+
+def _assert_matches_full_grid(agents, world, camera):
+    static = prepare_static(world, camera)
+    seg, depth = render_frame(agents, world, camera, static)
+    want_seg, want_depth = _full_grid_render(agents, camera, static)
+    assert seg.tobytes() == want_seg.tobytes()
+    assert depth.tobytes() == want_depth.tobytes()
+    return seg
+
+
+# Small pinhole cameras near the crossing's center.  Agents stand mostly in
+# the camera's ground heading, within the view or just outside it; the rest
+# anywhere around, which puts some off screen, behind the camera or
+# straddling its plane.
+PINHOLE_CAMERAS = st.builds(
+    PinholeCamera,
+    x=st.floats(-6.0, 6.0),
+    y=st.floats(-6.0, 6.0),
+    z=st.floats(0.5, 10.0),
+    yaw_deg=st.floats(-180.0, 180.0),
+    pitch_deg=st.floats(-15.0, 60.0),
+    focal_px=st.floats(8.0, 160.0),
+    width=st.integers(24, 64),
+    height=st.integers(24, 64),
+    cx=st.none() | st.floats(0.0, 64.0),
+    cy=st.none() | st.floats(0.0, 64.0),
+    far_plane=st.sampled_from([30.0, 100.0]),
+)
+
+
+@st.composite
+def _scene(draw):
+    camera = draw(PINHOLE_CAMERAS)
+    yaw = math.radians(camera.yaw_deg)
+    agents = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.integers(0, 3)) > 0:  # three in four stand ahead
+            ahead = draw(st.floats(1.0, 40.0))
+            side = ahead * draw(st.floats(-1.0, 1.0))
+            x = camera.x + ahead * math.cos(yaw) - side * math.sin(yaw)
+            y = camera.y + ahead * math.sin(yaw) + side * math.cos(yaw)
+        else:
+            x, y = draw(st.floats(-25.0, 25.0)), draw(st.floats(-25.0, 25.0))
+        agents.append(
+            _agent(
+                "a",
+                draw(st.sampled_from(list(AgentClass))),
+                x,
+                y,
+                heading=draw(st.floats(-math.pi, math.pi)),
+                length=draw(st.floats(0.3, 12.0)),
+                width=draw(st.floats(0.3, 3.0)),
+            )
+        )
+    return camera, agents
+
+
+@settings(max_examples=60, deadline=None)
+@given(scene=_scene())
+def test_pinhole_windowed_raster_matches_full_grid(scene):
+    camera, agents = scene
+    _assert_matches_full_grid(agents, builtin_map("crossing"), camera)
+
+
+FULL_GRID = (slice(None), slice(None))
+LEVEL_CAMERA = PinholeCamera(x=0.0, y=0.0, z=1.2, focal_px=40.0, width=48, height=40)
+
+
+def test_pinhole_box_straddling_camera_plane_uses_full_grid():
+    # The car's box runs from 1.75 m behind the camera to 2.75 m ahead.
+    car = _agent("a", AgentClass.CAR, 0.5, 0.0)
+    assert _pixel_window(LEVEL_CAMERA, car) == FULL_GRID
+    seg = _assert_matches_full_grid([car], EMPTY_WORLD, LEVEL_CAMERA)
+    assert (seg == SegClass.VEHICLE).any()
+
+
+def test_pinhole_box_off_screen_has_empty_window():
+    truck = _agent("a", AgentClass.TRUCK, 10.0, 40.0)  # far left of a 62 degree view
+    assert _pixel_window(LEVEL_CAMERA, truck) is None
+    seg = _assert_matches_full_grid([truck], builtin_map("straight"), LEVEL_CAMERA)
+    assert not (seg == SegClass.VEHICLE).any()
+
+
+def test_pinhole_box_behind_camera_draws_nothing():
+    walker = _agent("a", AgentClass.PEDESTRIAN, -6.0, 0.0)
+    assert _pixel_window(LEVEL_CAMERA, walker) == FULL_GRID
+    seg = _assert_matches_full_grid([walker], EMPTY_WORLD, LEVEL_CAMERA)
+    assert not (seg == SegClass.PEDESTRIAN).any()
+
+
+def test_pinhole_box_in_view_is_windowed():
+    car = _agent("a", AgentClass.CAR, 15.0, 1.0, heading=0.4)
+    rows, cols = _pixel_window(LEVEL_CAMERA, car)
+    assert (rows.stop - rows.start) * (cols.stop - cols.start) < LEVEL_CAMERA.width * LEVEL_CAMERA.height / 4
+    seg = _assert_matches_full_grid([car], EMPTY_WORLD, LEVEL_CAMERA)
+    hit_rows, hit_cols = np.nonzero(seg == SegClass.VEHICLE)
+    assert hit_rows.size > 0
+    assert rows.start < hit_rows.min() and hit_rows.max() < rows.stop - 1
+    assert cols.start < hit_cols.min() and hit_cols.max() < cols.stop - 1
 
 
 # --- edges --------------------------------------------------------------

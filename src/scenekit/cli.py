@@ -141,7 +141,7 @@ def _load_camera(spec: str | None, world: WorldMap) -> Camera:
         return camera_from_dict(data)
     except OSError as e:
         raise CliError(f"cannot read camera file {spec!r}: {e}") from e
-    except (ValueError, CameraError) as e:  # ValueError: not UTF-8, not JSON, or an int too long to parse
+    except (ValueError, RecursionError, CameraError) as e:  # bad UTF-8 or JSON, a huge int, deep nesting
         raise CliError(f"bad camera config {spec!r}: {e}") from e
 
 
@@ -157,7 +157,7 @@ def _read_config_file(path: str | None) -> dict:
         return {}
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as e:  # ValueError: not UTF-8, not JSON, or an int too long to parse
+    except (OSError, ValueError, RecursionError) as e:  # bad UTF-8 or JSON, a huge int, deep nesting
         raise CliError(f"cannot read config file {path!r}: {e}") from e
     if not isinstance(data, dict):
         raise CliError(f"config file {path!r} must hold a JSON object")
@@ -412,7 +412,6 @@ def cmd_pipeline(args) -> int:
     scenario_type = None
     if args.script is not None:
         script_text = _read_script(args.script)
-        out.mkdir(parents=True, exist_ok=True)
     else:
         if args.type is None:
             raise CliError("pipeline needs --script or a scenario --type for generation")
@@ -431,6 +430,7 @@ def cmd_pipeline(args) -> int:
         for d in diags:
             print(d.to_json())
         return EXIT_DOMAIN
+    out.mkdir(parents=True, exist_ok=True)
     (out / "script.scn").write_text(format_script(ast))
 
     try:
@@ -483,7 +483,7 @@ def cmd_stub_llm(args) -> int:
     if args.responses is not None:
         try:
             responses = json.loads(Path(args.responses).read_text())
-        except (OSError, ValueError) as e:  # ValueError: not UTF-8, not JSON, or an int too long to parse
+        except (OSError, ValueError, RecursionError) as e:  # bad UTF-8 or JSON, a huge int, deep nesting
             raise CliError(f"cannot read responses file: {e}") from e
         if not isinstance(responses, list) or not responses:
             raise CliError("responses file must hold a non-empty JSON list")

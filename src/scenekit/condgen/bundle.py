@@ -125,7 +125,7 @@ def verify_bundle(bundle_dir: str | Path) -> list[str]:
         listed: dict[str, str] = manifest["files"]
     except FileNotFoundError:
         return [f"no manifest.json in {root}"]
-    except (OSError, ValueError, KeyError, TypeError) as e:  # ValueError: bad UTF-8 or JSON
+    except (OSError, ValueError, RecursionError, KeyError, TypeError) as e:  # bad UTF-8 or JSON
         return [f"unreadable manifest in {root}: {e}"]
     if not isinstance(listed, dict):
         return [f"unreadable manifest in {root}: 'files' is not an object"]

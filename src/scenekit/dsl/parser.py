@@ -198,7 +198,7 @@ def parse(tokens: list[Token]) -> tuple[ScenarioAst | None, list[Diagnostic]]:
         except _Abort as abort:
             diags.append(abort.diag)
 
-    had_bad_lines = any(d.code == "E_SYNTAX" for d in diags)
+    had_bad_lines = bool(diags)  # each diagnostic so far dropped a statement
     _check_structure(params, behaviors, objects, diags, had_bad_lines)
 
     if has_errors(diags):

@@ -53,7 +53,7 @@ def load_library(path: Path | str) -> ExampleLibrary:
         index = json.loads(index_path.read_text())
     except FileNotFoundError:
         raise LibraryError(f"no index.json in {root}") from None
-    except (OSError, ValueError) as e:  # ValueError: not UTF-8 or not JSON
+    except (OSError, ValueError, RecursionError) as e:  # bad UTF-8 or JSON, or deep nesting
         raise LibraryError(f"malformed index.json in {root}: {e}") from None
 
     raw_entries = index.get("entries") if isinstance(index, dict) else None

@@ -80,7 +80,10 @@ def load_weights(source: str | Path) -> dict[str, float]:
     if text in PRESETS:
         return dict(PRESETS[text])
     path = Path(source)
-    data = json.loads(path.read_text())
+    try:
+        data = json.loads(path.read_text())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected an object of modality weights")
     weights: dict[str, float] = {}

@@ -7,9 +7,10 @@ is a pseudo-depth: the camera hovers at a fixed height and each pixel reads
 that height minus the height of whatever covers it.  The pinhole depth is
 the true ray distance to the first surface.  Under the pinhole camera each
 agent is tested only against the rays in its pixel window, the bounding
-rectangle of its box's projected corners; a box with a corner at or
-behind the camera plane has no such window and is tested against the
-full grid.
+rectangle of its box's projected corners.  A box that reaches the camera
+plane is first clipped at a forward depth closer than any ray can hit it,
+so it gets a window too, or none when it lies wholly behind the camera;
+only a camera in or on the box tests it against the full grid.
 """
 
 from __future__ import annotations
@@ -207,18 +208,34 @@ def _paint_topdown(
     sub_depth[mask] = pseudo
 
 
-# A box with a corner at or below this forward depth (meters) crosses the
-# camera plane, so its projected corners do not bound the rays that hit it.
+# At or below this forward depth (meters) a point's projection is not
+# trusted: a box with a corner this close to the camera plane is clipped
+# before its window is taken, and one that would be clipped this close to
+# the camera (the camera in it or on it) keeps the full grid.
 MIN_WINDOW_DEPTH = 1e-6
+
+# The 12 edges of a box whose corners are 4 footprint corners in cyclic
+# order at the ground, then the same 4 at the box's height.
+_BOX_EDGES = np.array(
+    [(k, (k + 1) % 4) for k in range(4)]
+    + [(4 + k, 4 + (k + 1) % 4) for k in range(4)]
+    + [(k, k + 4) for k in range(4)]
+)
 
 
 def _pixel_window(camera: PinholeCamera, agent: AgentState) -> tuple[slice, slice] | None:
     """Rows and columns of the pixels whose rays can hit the agent's box.
 
-    The window is the bounding rectangle of the box's 8 projected corners,
+    The window is the bounding rectangle of the box's projected vertices,
     one pixel wider on every side and clamped to the image; None when that
-    is empty.  A box with a corner at or behind the camera plane gets the
-    full grid.
+    is empty.  A box that reaches the camera plane is first clipped at the
+    forward depth `near`, half the least depth any ray can hit it at: every
+    ray meets the camera's forward axis at a cosine of at least `cos_edge`
+    (the image corners' rays), and no ray reaches the box before `gap`, its
+    distance from the camera.  So the clip drops no point a ray can hit,
+    and a box wholly behind the camera keeps no vertex and gets None.  Only
+    a camera in or on the box (`near` at or below MIN_WINDOW_DEPTH) leaves
+    the full grid.
     """
     forward, right, up = _camera_basis(camera)
     corners = np.zeros((8, 3))
@@ -226,10 +243,30 @@ def _pixel_window(camera: PinholeCamera, agent: AgentState) -> tuple[slice, slic
     corners[4:, 2] = CLASS_HEIGHTS[agent.klass]
     rel = corners - np.array([camera.x, camera.y, camera.z])
     ahead = rel @ forward
-    if ahead.min() <= MIN_WINDOW_DEPTH:
-        return slice(None), slice(None)
-    # Inverse of the pixel-center rays in _prepare_pinhole.
     cx, cy = camera.principal
+    if ahead.min() <= MIN_WINDOW_DEPTH:
+        c, s = math.cos(agent.heading), math.sin(agent.heading)
+        ox, oy = camera.x - agent.x, camera.y - agent.y
+        local = np.array([ox * c + oy * s, -ox * s + oy * c, camera.z])
+        hi = np.array([agent.length / 2.0, agent.width / 2.0, CLASS_HEIGHTS[agent.klass]])
+        lo = np.array([-hi[0], -hi[1], 0.0])
+        gap = float(np.linalg.norm(local - np.clip(local, lo, hi)))
+        u_max = max(abs(0.5 - cx), abs(camera.width - 0.5 - cx)) / camera.focal_px
+        v_max = max(abs(cy - 0.5), abs(cy - camera.height + 0.5)) / camera.focal_px
+        near = gap / math.sqrt(1.0 + u_max * u_max + v_max * v_max) / 2.0
+        if near <= MIN_WINDOW_DEPTH:
+            return slice(None), slice(None)
+        a, b = _BOX_EDGES.T
+        da, db = ahead[a] - near, ahead[b] - near
+        crosses = (da < 0.0) != (db < 0.0)
+        frac = (da[crosses] / (da[crosses] - db[crosses]))[:, None]
+        rel = np.concatenate(
+            [rel[ahead >= near], rel[a[crosses]] + frac * (rel[b[crosses]] - rel[a[crosses]])]
+        )
+        if len(rel) == 0:
+            return None
+        ahead = rel @ forward
+    # Inverse of the pixel-center rays in _prepare_pinhole.
     cols = cx + camera.focal_px * (rel @ right) / ahead - 0.5
     rows = cy - camera.focal_px * (rel @ up) / ahead - 0.5
     j0 = max(0, math.floor(cols.min()) - 1)
@@ -247,8 +284,8 @@ def _ray_box_hits(
     """Slab intersection of each ray in `dirs` with one agent's 3D box.
 
     Returns (hit mask, entry distance) over the rays given: `render_frame`
-    passes the agent's pixel window, or the full grid when the box reaches
-    the camera plane.  The box stands on the ground plane with the agent's
+    passes the agent's pixel window, or the full grid when the camera is in
+    or on the box.  The box stands on the ground plane with the agent's
     footprint and class height.
     """
     c, s = math.cos(agent.heading), math.sin(agent.heading)

@@ -165,6 +165,6 @@ def read_trace_json(path: Path | str) -> Trace:
     """Read a `trace.json`; TraceError when it is not UTF-8 JSON or is malformed."""
     try:
         data = json.loads(Path(path).read_text())
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON, a huge int, deep nesting
         raise TraceError(f"not a JSON trace: {e}") from None
     return trace_from_dict(data)

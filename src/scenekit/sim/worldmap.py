@@ -123,7 +123,7 @@ def load_map(path: Path | str) -> WorldMap:
         raw = json.loads(path.read_text())
     except FileNotFoundError:
         raise MapError(f"map file not found: {path}") from None
-    except ValueError as e:  # not UTF-8, not JSON, or an int too long to parse
+    except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON, a huge int, deep nesting
         raise MapError(f"malformed map JSON in {path}: {e}") from None
 
     if not isinstance(raw, dict) or not isinstance(raw.get("lanes"), list):

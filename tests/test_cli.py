@@ -650,6 +650,16 @@ def test_pipeline_deterministic_script_cannot_vary(tmp_path, capsys):
     assert "error" in json.loads(capsys.readouterr().out.splitlines()[0])
 
 
+def test_pipeline_script_that_does_not_compile_leaves_no_output(tmp_path, capsys):
+    script = tmp_path / "bad.scn"
+    script.write_text("ego = new Car at (0.0, 0.0) with speed Range(9.0, 2.0)\n")
+    out = tmp_path / "out"
+    assert main(_pipeline_args(tmp_path, script, out)) == 1
+    codes = [json.loads(line)["code"] for line in capsys.readouterr().out.splitlines()]
+    assert "E_EMPTY_RANGE" in codes
+    assert not out.exists()
+
+
 def test_pipeline_all_failing_requirements(tmp_path, capsys):
     script = tmp_path / "nope.scn"
     script.write_text(
@@ -902,6 +912,47 @@ def test_json_integer_too_long_to_parse_is_env_failure(
         argv = _pipeline_args(tmp_path, variation_script, out, ["-n", "1", flag, str(path)])
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+# json.loads raises RecursionError, not ValueError, for arrays nested deeper
+# than the interpreter's recursion limit.
+DEEP_JSON = "[" * 5000 + "]" * 5000
+LOCAL_ENDPOINT = ["--base-url", "http://127.0.0.1:9", "--model", "m", "--type", "vehicle-cut-in"]
+DEEP_LOADERS = {
+    "render-camera": (["render", "TRACE", "--map", "straight", "--camera", "DEEP", "-o", "OUT"], 2, "bad camera config"),
+    "render-map": (["render", "TRACE", "--map", "DEEP", "-o", "OUT"], 2, "malformed map JSON"),
+    "render-weights": (["render", "TRACE", "--map", "straight", "--weights", "DEEP", "-o", "OUT"], 2, "bad weights"),
+    "render-trace": (["render", "DEEP", "--map", "straight", "-o", "OUT"], 2, "cannot read trace"),
+    "pipeline-config": (["pipeline", "--script", "SCRIPT", "--config", "DEEP", "-o", "OUT"], 2, "cannot read config file"),
+    "gen-library": (["gen", *LOCAL_ENDPOINT, "--library", "LIBRARY", "-o", "OUT"], 2, "cannot load example library"),
+    "stub-llm-responses": (["stub-llm", "--responses", "DEEP"], 2, "cannot read responses file"),
+    "bundle-verify": (["bundle", "--verify", "LIBRARY"], 1, "unreadable manifest"),
+}
+
+
+@pytest.mark.parametrize("loader", sorted(DEEP_LOADERS))
+def test_deeply_nested_json_is_not_a_traceback(
+    tmp_path, short_trace, variation_script, capsys, monkeypatch, loader
+):
+    def refuse_to_serve(self):
+        raise AssertionError("the server started with an unreadable responses file")
+
+    monkeypatch.setattr(StubLLMServer, "start", refuse_to_serve)
+    argv, code, message = DEEP_LOADERS[loader]
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    # one directory serves as a library whose index.json and a bundle whose
+    # manifest.json are nested that deep
+    library = tmp_path / "deep"
+    library.mkdir()
+    (library / "index.json").write_text(DEEP_JSON)
+    (library / "manifest.json").write_text(DEEP_JSON)
+    out = tmp_path / "out"
+    paths = {"DEEP": deep, "TRACE": short_trace, "SCRIPT": variation_script, "LIBRARY": library, "OUT": out}
+    assert main([str(paths.get(arg, arg)) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert message in captured.err + captured.out
     assert not out.exists()
 
 

@@ -136,6 +136,13 @@ def test_empty_range_rejected():
     assert diags[0].span.line == 1
 
 
+def test_dropped_ego_declaration_reports_only_its_own_error():
+    # The ego line is dropped for its empty range; E_NO_EGO would be a cascade.
+    ast, diags = parse_text("ego = new Car at (0.0, 0.0) with speed Range(9.0, 2.0)\n")
+    assert ast is None
+    assert [d.code for d in diags] == ["E_EMPTY_RANGE"]
+
+
 def test_degenerate_range_rejected():
     ast, diags = parse_text("param g = Range(5.0, 5.0)\nego = new Car at (0.0, 0.0)\n")
     assert ast is None

@@ -270,10 +270,11 @@ def _assert_matches_full_grid(agents, world, camera):
     return seg
 
 
-# Small pinhole cameras near the crossing's center.  Agents stand mostly in
-# the camera's ground heading, within the view or just outside it; the rest
-# anywhere around, which puts some off screen, behind the camera or
-# straddling its plane.
+# Small pinhole cameras near the crossing's center.  Agents stand half the
+# time in the camera's ground heading, within the view or just outside it;
+# a quarter within a few meters of the camera, which puts many behind it,
+# across its plane or around it; the rest anywhere around, which puts some
+# off screen.
 PINHOLE_CAMERAS = st.builds(
     PinholeCamera,
     x=st.floats(-6.0, 6.0),
@@ -296,11 +297,15 @@ def _scene(draw):
     yaw = math.radians(camera.yaw_deg)
     agents = []
     for _ in range(draw(st.integers(1, 4))):
-        if draw(st.integers(0, 3)) > 0:  # three in four stand ahead
+        where = draw(st.integers(0, 3))
+        if where >= 2:
             ahead = draw(st.floats(1.0, 40.0))
             side = ahead * draw(st.floats(-1.0, 1.0))
             x = camera.x + ahead * math.cos(yaw) - side * math.sin(yaw)
             y = camera.y + ahead * math.sin(yaw) + side * math.cos(yaw)
+        elif where == 1:
+            x = camera.x + draw(st.floats(-6.0, 6.0))
+            y = camera.y + draw(st.floats(-6.0, 6.0))
         else:
             x, y = draw(st.floats(-25.0, 25.0)), draw(st.floats(-25.0, 25.0))
         agents.append(
@@ -317,7 +322,7 @@ def _scene(draw):
     return camera, agents
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(scene=_scene())
 def test_pinhole_windowed_raster_matches_full_grid(scene):
     camera, agents = scene
@@ -328,12 +333,27 @@ FULL_GRID = (slice(None), slice(None))
 LEVEL_CAMERA = PinholeCamera(x=0.0, y=0.0, z=1.2, focal_px=40.0, width=48, height=40)
 
 
-def test_pinhole_box_straddling_camera_plane_uses_full_grid():
-    # The car's box runs from 1.75 m behind the camera to 2.75 m ahead.
+def test_pinhole_camera_inside_box_uses_full_grid():
+    # The car's box runs from 1.75 m behind the camera to 2.75 m ahead, and
+    # the camera sits inside it at 1.2 m of its 1.5 m.
     car = _agent("a", AgentClass.CAR, 0.5, 0.0)
     assert _pixel_window(LEVEL_CAMERA, car) == FULL_GRID
     seg = _assert_matches_full_grid([car], EMPTY_WORLD, LEVEL_CAMERA)
     assert (seg == SegClass.VEHICLE).any()
+
+
+def test_pinhole_box_straddling_camera_plane_is_clipped_to_a_window():
+    # A car alongside on the right runs from 1.75 m behind the camera plane
+    # to 2.75 m ahead of it; a truck passing on the left ends 1 m ahead of it.
+    car = _agent("a", AgentClass.CAR, 0.5, -2.5)
+    truck = _agent("b", AgentClass.TRUCK, -5.0, 1.6, length=12.0)
+    for agent in (car, truck):
+        rows, cols = _pixel_window(LEVEL_CAMERA, agent)
+        assert (rows.stop - rows.start) * (cols.stop - cols.start) < LEVEL_CAMERA.width * LEVEL_CAMERA.height
+        seg = _assert_matches_full_grid([agent], EMPTY_WORLD, LEVEL_CAMERA)
+        hit_cols = np.nonzero(seg == SegClass.VEHICLE)[1]
+        assert hit_cols.size > 0
+        assert cols.start <= hit_cols.min() and hit_cols.max() < cols.stop
 
 
 def test_pinhole_box_off_screen_has_empty_window():
@@ -345,7 +365,7 @@ def test_pinhole_box_off_screen_has_empty_window():
 
 def test_pinhole_box_behind_camera_draws_nothing():
     walker = _agent("a", AgentClass.PEDESTRIAN, -6.0, 0.0)
-    assert _pixel_window(LEVEL_CAMERA, walker) == FULL_GRID
+    assert _pixel_window(LEVEL_CAMERA, walker) is None
     seg = _assert_matches_full_grid([walker], EMPTY_WORLD, LEVEL_CAMERA)
     assert not (seg == SegClass.PEDESTRIAN).any()
 

@@ -49,21 +49,21 @@ class VariationError(Exception):
 # concrete (fully numeric) scenario types
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CAbsolute:
     x: float
     y: float
     heading_deg: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CRelative:
     kind: str  # "ahead" | "behind" | "left" | "right"
     ref: str
     amount: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class COnLane:
     lane: str
     s: float
@@ -72,7 +72,7 @@ class COnLane:
 CSpatial = CAbsolute | CRelative | COnLane
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CTrigger:
     """Concrete trigger; kind is "distance" (obj, meters) or "time" (seconds)."""
 
@@ -81,7 +81,7 @@ class CTrigger:
     value: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConcreteBehavior:
     kind: ActionKind
     args: tuple[float, ...] = ()
@@ -89,7 +89,7 @@ class ConcreteBehavior:
     trigger: CTrigger | None = None  # None means unconditional (always on)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConcreteObject:
     name: str
     klass: AgentClass
@@ -99,7 +99,7 @@ class ConcreteObject:
     behavior: ConcreteBehavior | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CRequirement:
     """kind "collision" (coll_type optional) or "ego_speed_above" (value)."""
 
@@ -108,7 +108,7 @@ class CRequirement:
     value: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConcreteScenario:
     seed: int
     params: tuple[tuple[str, float], ...]

@@ -66,8 +66,10 @@ class StubLLMServer:
                 length = int(self.headers.get("Content-Length", "0"))
                 try:
                     payload = json.loads(self.rfile.read(length) or b"{}")
-                except json.JSONDecodeError:
-                    self.send_error(400, "invalid JSON")
+                except (ValueError, RecursionError):  # not UTF-8, not JSON, too deep
+                    payload = None
+                if not isinstance(payload, dict):
+                    self.send_error(400, "body is not a JSON object")
                     return
                 with stub._lock:
                     index = min(len(stub.requests), len(stub._scripted) - 1)

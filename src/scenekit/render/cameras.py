@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 MAX_IMAGE_SIDE = 4096  # most pixels along one image side; rasters are side x side arrays
 
 
@@ -21,6 +23,14 @@ class CameraError(Exception):
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise CameraError(message)
+
+
+def _require_far_plane(far_plane: float) -> None:
+    # depth is normalized by np.float32(far_plane): a plane that rounds to 0 or
+    # overflows to inf there turns every depth pixel into NaN
+    with np.errstate(over="ignore"):
+        f32 = np.float32(far_plane)
+    _require(0 < f32 < np.inf, f"far_plane must be positive and finite as a float32, got {far_plane!r}")
 
 
 @dataclass(frozen=True)
@@ -47,7 +57,7 @@ class TopDownCamera:
                  f"image sides must be in [1, {MAX_IMAGE_SIDE}]")
         _require(self.meters_per_pixel > 0, "meters_per_pixel must be positive")
         _require(self.ortho_height > 0, "ortho_height must be positive")
-        _require(self.far_plane > 0, "far_plane must be positive")
+        _require_far_plane(self.far_plane)
 
 
 @dataclass(frozen=True)
@@ -76,7 +86,7 @@ class PinholeCamera:
         _require(0 < self.width <= MAX_IMAGE_SIDE and 0 < self.height <= MAX_IMAGE_SIDE,
                  f"image sides must be in [1, {MAX_IMAGE_SIDE}]")
         _require(self.focal_px > 0, "focal_px must be positive")
-        _require(self.far_plane > 0, "far_plane must be positive")
+        _require_far_plane(self.far_plane)
 
     @property
     def principal(self) -> tuple[float, float]:

@@ -28,8 +28,8 @@ from scenekit.sim.geometry import (
     Box,
     contact_faces,
     impact_point,
+    obbs_overlap,
     rel_heading_deg,
-    signed_separation,
 )
 from scenekit.sim.worldmap import WorldMap
 
@@ -190,7 +190,7 @@ def _instantiate(
 
     for i in range(len(states)):
         for j in range(i + 1, len(states)):
-            if signed_separation(states[i].box(), states[j].box()) > 0:
+            if obbs_overlap(states[i].box(), states[j].box()):
                 raise PlacementError(
                     f"initial poses of {states[i].name!r} and {states[j].name!r} overlap"
                 )
@@ -387,7 +387,7 @@ def _detect(
             key = (a.name, b.name)
             if key in contacted:
                 continue
-            if signed_separation(a.box(), b.box()) <= 0:
+            if not obbs_overlap(a.box(), b.box()):
                 continue
             contacted.add(key)
             faces = contact_faces(a.box(), b.box())

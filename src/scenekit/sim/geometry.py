@@ -4,6 +4,12 @@ Boxes are rectangles in the ground plane: centre, heading (radians), length
 along the heading axis, width across it.  Overlap uses the separating-axis
 test over the four face normals; contact is strict, so touching boxes with
 zero penetration do not count as colliding.
+
+`obbs_overlap` runs a scalar broad phase first: each box lies inside the
+circle of radius hypot(length, width) / 2 about its centre, and a pair whose
+circles are more than GUARD apart cannot overlap.  The verdict is exactly
+that of `signed_separation(a, b) > 0`, only cheaper for far pairs (most pairs
+in a scene are tens of metres apart).
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 FACES = ("front", "rear", "left", "right")
+GUARD = 1e-3  # metres of clearance the broad phase demands; a rounding guard
 
 
 @dataclass(frozen=True)
@@ -68,6 +75,19 @@ def signed_separation(a: Box, b: Box) -> float:
 
 
 def obbs_overlap(a: Box, b: Box) -> bool:
+    """Whether the boxes interpenetrate: `signed_separation(a, b) > 0`.
+
+    Pairs whose bounding circles are more than GUARD apart return False
+    without the axis test.  That is exact: the boxes are then more than
+    GUARD apart too, and since every exterior angle of the rectangles'
+    Minkowski difference is at most 90 degrees, one of the four face axes
+    separates them by at least GUARD / sqrt(2).  `signed_separation` would
+    return <= -7e-4, far beyond its rounding error.
+    """
+    reach = (math.hypot(a.length, a.width) + math.hypot(b.length, b.width)) / 2.0 + GUARD
+    dx, dy = a.x - b.x, a.y - b.y
+    if dx * dx + dy * dy > reach * reach:
+        return False
     return signed_separation(a, b) > 0.0
 
 

@@ -425,6 +425,20 @@ def test_render_rejects_bad_camera_value(tmp_path, short_trace, capsys, base, fi
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("far_plane", [1e-300, 1e39], ids=["rounds-to-0", "overflows"])
+@pytest.mark.parametrize("base", [TOPDOWN, PINHOLE], ids=["topdown", "pinhole"])
+def test_render_rejects_far_plane_outside_float32(tmp_path, short_trace, capsys, base, far_plane):
+    # finite as a float64 but 0 or inf as float32, where depth is normalized: NaN maps
+    camera = tmp_path / "camera.json"
+    camera.write_text(json.dumps({**base, "far_plane": far_plane}))
+    code = main(
+        ["render", str(short_trace), "--map", "straight", "--camera", str(camera), "-o", str(tmp_path / "r")]
+    )
+    assert code == 2
+    assert "far_plane must be positive and finite as a float32" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_render_rejects_camera_integer_too_long_to_parse(tmp_path, short_trace, capsys):
     camera = tmp_path / "camera.json"
     camera.write_text('{"variant": "topdown", "width": ' + "1" * 5000 + "}")

@@ -4,6 +4,7 @@ import json
 import socket
 
 import pytest
+import requests
 
 from scenekit.promptgen.client import (
     ApiError,
@@ -72,6 +73,20 @@ def test_blank_content_is_empty_response():
     with StubLLMServer([{"content": "   \n"}]) as stub:
         with pytest.raises(EmptyResponseError):
             call_llm(_config(stub), "p", 0.0)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [b"\xff\xfe\xfd not utf-8", b"[" * 5000 + b"]" * 5000, b"[1]"],
+    ids=["not-utf8", "nested-5000", "not-an-object"],
+)
+def test_stub_rejects_bad_body_before_recording_it(body):
+    with StubLLMServer(["first", "second"]) as stub:
+        url = stub.base_url + "/chat/completions"
+        reply = requests.post(url, data=body, timeout=5)
+        assert reply.status_code == 400
+        assert stub.requests == []
+        assert call_llm(_config(stub), "p", 0.0) == "first"
 
 
 def test_transport_retry_with_backoff():

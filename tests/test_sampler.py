@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -9,6 +10,17 @@ from scenekit.dsl import (
     sample_parameters,
     sample_variations,
 )
+from scenekit.dsl.sampler import (
+    CAbsolute,
+    ConcreteBehavior,
+    ConcreteObject,
+    ConcreteScenario,
+    COnLane,
+    CRelative,
+    CRequirement,
+    CTrigger,
+)
+from scenekit.promptgen.library import builtin_library
 
 
 def compile_ok(text):
@@ -184,3 +196,19 @@ def test_variation_count_must_be_positive():
     ast = compile_ok("param c = Choice[1.0, 2.0]\nego = new Car at (c, 0.0)\n")
     with pytest.raises(ValueError):
         sample_variations(ast, 0, 0)
+
+
+def test_concrete_scenarios_pickle_and_hash_equal():
+    # the process pool pickles each task's scenario; the types carry slots, no __dict__
+    kinds = set()
+    for entry in builtin_library().entries:
+        scenario = sample_parameters(entry.ast, 7)
+        clone = pickle.loads(pickle.dumps(scenario))
+        assert clone == scenario and hash(clone) == hash(scenario)
+        kinds |= {type(o.spatial) for o in scenario.objects}
+        kinds |= {type(o.behavior.trigger) for o in scenario.objects if o.behavior}
+        kinds |= {type(r) for r in scenario.requirements}
+    assert {CAbsolute, CRelative, COnLane, CTrigger, CRequirement} <= kinds
+    for klass in (CAbsolute, CRelative, COnLane, CTrigger, ConcreteBehavior, ConcreteObject, CRequirement,
+                  ConcreteScenario):
+        assert "__slots__" in vars(klass) and "__dict__" not in vars(klass), klass

@@ -7,13 +7,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scenekit.dsl import compile_script
 from scenekit.dsl.nodes import AgentClass
 from scenekit.dsl.sampler import SampleError, sample_parameters
+from scenekit.sim import geometry
 from scenekit.sim.classify import CollisionClass, classify_collision
 from scenekit.sim.engine import PlacementError, SimConfig, run
 from scenekit.sim.geometry import (
+    GUARD,
     Box,
     box_corners,
     clip_convex,
@@ -146,6 +150,58 @@ def test_overlap_verdict_matches_point_sampling():
         seen[verdict] += 1
         assert verdict == _sampled_overlap(a, b), (a, b)
     assert seen[True] > 20 and seen[False] > 20  # corpus exercises both sides
+
+
+def _radius(box):
+    return math.hypot(box.length, box.width) / 2.0
+
+
+@st.composite
+def _box_pairs(draw):
+    """Pairs from face-to-face tangency out to 60 m apart, with the bounding
+    circles exactly tangent and GUARD either side of tangent among them."""
+    a = Box(
+        draw(st.floats(-50.0, 50.0)),
+        draw(st.floats(-50.0, 50.0)),
+        draw(st.floats(-math.pi, math.pi)),
+        draw(st.floats(1e-6, 12.0)),
+        draw(st.floats(1e-6, 3.0)),
+    )
+    quarter_turns = draw(st.integers(0, 3))
+    length, width = draw(st.floats(1e-6, 12.0)), draw(st.floats(1e-6, 3.0))
+    fwd = (math.cos(a.heading), math.sin(a.heading))
+    left = (-fwd[1], fwd[0])
+    if draw(st.booleans()):
+        # b's face flush against a's front face
+        reach = a.length / 2.0 + (width if quarter_turns % 2 else length) / 2.0
+        side = draw(st.floats(-a.width / 2.0, a.width / 2.0))
+        dx, dy = reach * fwd[0] + side * left[0], reach * fwd[1] + side * left[1]
+    else:
+        radii = _radius(a) + math.hypot(length, width) / 2.0
+        gap = draw(st.sampled_from([0.0, GUARD, -GUARD]) | st.floats(-radii, 60.0))
+        bearing = draw(st.floats(-math.pi, math.pi))
+        dx, dy = (radii + gap) * math.cos(bearing), (radii + gap) * math.sin(bearing)
+    b = Box(a.x + dx, a.y + dy, a.heading + quarter_turns * math.pi / 2.0, length, width)
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_box_pairs())
+def test_broad_phase_keeps_the_axis_test_verdict(pair):
+    a, b = pair
+    assert obbs_overlap(a, b) == (signed_separation(a, b) > 0.0)
+
+
+def test_far_pair_never_reaches_the_axis_test(monkeypatch):
+    def axis_test(a, b):
+        raise AssertionError("the broad phase should have rejected this pair")
+
+    monkeypatch.setattr(geometry, "signed_separation", axis_test)
+    a = Box(0.0, 0.0, 0.3, 4.5, 2.0)
+    just_past = _radius(a) * 2.0 + GUARD * 1.01
+    for b in (Box(40.0, -25.0, 1.2, 4.5, 2.0), Box(just_past, 0.0, 0.3, 4.5, 2.0)):
+        assert not obbs_overlap(a, b)
+        assert not obbs_overlap(b, a)
 
 
 # --- geometry: faces, headings, impact point ---------------------------

@@ -39,7 +39,7 @@ from scenekit.render.formats import write_pfm, write_pgm
 from scenekit.render.raster import edge_from_seg, prepare_static, render_frame
 from scenekit.sim.engine import MAX_STEPS, PlacementError, SimConfig, run
 from scenekit.sim.requirements import check_requirements
-from scenekit.sim.traceio import read_trace_json, write_trace_json
+from scenekit.sim.traceio import TraceError, read_trace_json, write_trace_json
 from scenekit.sim.worldmap import MapError, WorldMap, builtin_map, load_map
 
 EXIT_OK = 0
@@ -245,9 +245,11 @@ def cmd_sim(args) -> int:
         print(json.dumps({"error": str(e)}))
         return EXIT_DOMAIN
     results = check_requirements(trace, scenario)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_trace_json(trace, out / "trace.json")
+    try:
+        write_trace_json(trace, Path(args.out) / "trace.json")
+    except TraceError as e:
+        print(json.dumps({"error": str(e)}))
+        return EXIT_DOMAIN
     _print_json(
         {
             "termination": trace.termination,

@@ -190,6 +190,8 @@ def _paint_topdown(
     mpp = camera.meters_per_pixel
     px = (corners[:, 0] - camera.center_x) / mpp + camera.width / 2.0
     py = (camera.center_y - corners[:, 1]) / mpp + camera.height / 2.0
+    if not (np.isfinite(px).all() and np.isfinite(py).all()):
+        return  # a corner past the float range: the box lies off-image
     j0 = max(0, int(math.floor(px.min())) - 1)
     j1 = min(camera.width, int(math.ceil(px.max())) + 1)
     i0 = max(0, int(math.floor(py.min())) - 1)
@@ -228,8 +230,9 @@ def _pixel_window(camera: PinholeCamera, agent: AgentState) -> tuple[slice, slic
 
     The window is the bounding rectangle of the box's projected vertices,
     one pixel wider on every side and clamped to the image; None when that
-    is empty.  A box that reaches the camera plane is first clipped at the
-    forward depth `near`, half the least depth any ray can hit it at: every
+    is empty or a vertex projects past the float range (off-image).  A box
+    that reaches the camera plane is first clipped at the forward depth
+    `near`, half the least depth any ray can hit it at: every
     ray meets the camera's forward axis at a cosine of at least `cos_edge`
     (the image corners' rays), and no ray reaches the box before `gap`, its
     distance from the camera.  So the clip drops no point a ray can hit,
@@ -269,6 +272,8 @@ def _pixel_window(camera: PinholeCamera, agent: AgentState) -> tuple[slice, slic
     # Inverse of the pixel-center rays in _prepare_pinhole.
     cols = cx + camera.focal_px * (rel @ right) / ahead - 0.5
     rows = cy - camera.focal_px * (rel @ up) / ahead - 0.5
+    if not (np.isfinite(cols).all() and np.isfinite(rows).all()):
+        return None  # a vertex projected past the float range: off-image
     j0 = max(0, math.floor(cols.min()) - 1)
     j1 = min(camera.width, math.ceil(cols.max()) + 2)
     i0 = max(0, math.floor(rows.min()) - 1)

@@ -6,12 +6,17 @@ kinematics: heading comes from a pure-pursuit point on the assigned lane,
 then position advances by speed * dt along the updated heading.  Behavior
 triggers are evaluated before motion against the previous frame and latch
 once fired.  Frame k sits at time k * dt (multiplied, not accumulated).
+
+Each frame holds its own snapshot of every agent (`AgentState.snapshot`),
+taken after motion; the live states go on changing in place.  Collision
+detection builds each active agent's box once a step and hands the pairs
+to `obbs_overlap`, whose verdict is exact.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from scenekit.dsl.nodes import ActionKind, AgentClass
 from scenekit.dsl.sampler import (
@@ -60,7 +65,7 @@ class SimConfig:
             raise ValueError(f"max_duration / dt must be at most {MAX_STEPS} steps")
 
 
-@dataclass
+@dataclass(slots=True)
 class AgentState:
     name: str
     klass: AgentClass
@@ -75,6 +80,21 @@ class AgentState:
 
     def box(self) -> Box:
         return Box(self.x, self.y, self.heading, self.length, self.width)
+
+    def snapshot(self) -> AgentState:
+        """A copy for a trace frame (a positional call: `replace` is slower)."""
+        return AgentState(
+            self.name,
+            self.klass,
+            self.x,
+            self.y,
+            self.heading,
+            self.speed,
+            self.length,
+            self.width,
+            self.behavior_state,
+            self.active,
+        )
 
 
 @dataclass
@@ -215,7 +235,7 @@ def run(scenario: ConcreteScenario, world: WorldMap, config: SimConfig = SimConf
     states, runtimes = _instantiate(scenario, world)
     # Live states by name: before motion they hold the previous frame's poses.
     by_name = {s.name: s for s in states}
-    frames: list[tuple[AgentState, ...]] = [tuple(replace(s) for s in states)]
+    frames: list[tuple[AgentState, ...]] = [tuple([s.snapshot() for s in states])]
     events: list[CollisionEvent] = []
     contacted: set[tuple[str, str]] = set()
     n_steps = round(config.max_duration / config.dt)
@@ -232,7 +252,7 @@ def run(scenario: ConcreteScenario, world: WorldMap, config: SimConfig = SimConf
             if state.active:
                 _advance(state, rt, world, config.dt)
 
-        frames.append(tuple(replace(s) for s in states))
+        frames.append(tuple([s.snapshot() for s in states]))
 
         new_events = _detect(states, contacted, now, k)
         events.extend(new_events)
@@ -379,18 +399,16 @@ def _detect(
     frame: int,
 ) -> list[CollisionEvent]:
     events = []
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            a, b = states[i], states[j]
-            if not (a.active and b.active):
-                continue
+    live = [(s, s.box()) for s in states if s.active]
+    for i, (a, box_a) in enumerate(live):
+        for b, box_b in live[i + 1 :]:
             key = (a.name, b.name)
             if key in contacted:
                 continue
-            if not obbs_overlap(a.box(), b.box()):
+            if not obbs_overlap(box_a, box_b):
                 continue
             contacted.add(key)
-            faces = contact_faces(a.box(), b.box())
+            faces = contact_faces(box_a, box_b)
             rel = rel_heading_deg(a.heading, b.heading)
             events.append(
                 CollisionEvent(
@@ -398,7 +416,7 @@ def _detect(
                     frame=frame,
                     agent_a=a.name,
                     agent_b=b.name,
-                    impact=impact_point(a.box(), b.box()),
+                    impact=impact_point(box_a, box_b),
                     rel_heading_deg=rel,
                     faces=faces,
                     classification=classify_collision(a.klass, b.klass, rel, faces),

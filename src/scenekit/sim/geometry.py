@@ -5,11 +5,19 @@ along the heading axis, width across it.  Overlap uses the separating-axis
 test over the four face normals; contact is strict, so touching boxes with
 zero penetration do not count as colliding.
 
-`obbs_overlap` runs a scalar broad phase first: each box lies inside the
-circle of radius hypot(length, width) / 2 about its centre, and a pair whose
-circles are more than GUARD apart cannot overlap.  The verdict is exactly
-that of `signed_separation(a, b) > 0`, only cheaper for far pairs (most pairs
-in a scene are tens of metres apart).
+`obbs_overlap` gives exactly the verdict of `signed_separation(a, b) > 0`,
+in three stages that each pass on only what they cannot decide:
+
+1. A broad phase: each box lies inside the circle of radius
+   hypot(length, width) / 2 about its centre, and a pair whose circles are
+   more than GUARD apart cannot overlap (most pairs in a scene are tens of
+   metres apart).
+2. A scalar narrow phase: the same separating-axis value in plain floats,
+   trusted when it is further than GUARD * (1 + M) from 0, M being the sum
+   of the pair's coordinates and sides in absolute value.  The band grows
+   with M because rounding does: a float's spacing is 16 m at 1e17.
+3. `signed_separation` itself, for the pairs inside that band (contact at
+   or near tangency).
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ FACES = ("front", "rear", "left", "right")
 GUARD = 1e-3  # metres of clearance the broad phase demands; a rounding guard
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Box:
     x: float
     y: float
@@ -74,19 +82,61 @@ def signed_separation(a: Box, b: Box) -> float:
     return float(result)
 
 
+def _scalar_separation(a: Box, b: Box) -> float:
+    """`signed_separation` in plain floats, equal to it up to rounding.
+
+    On each face axis the overlap of the projections is
+    min(ra + rb - |d|, 2 ra, 2 rb): ra and rb are the half-extents, d the
+    centre offset along the axis.  Over the four axes the 2 ra and 2 rb
+    terms come to the shortest side.  The sides are taken as absolute
+    values, as the corners of `box_corners` are.
+    """
+    ca, sa = math.cos(a.heading), math.sin(a.heading)
+    cb, sb = math.cos(b.heading), math.sin(b.heading)
+    cos_ab, sin_ab = abs(ca * cb + sa * sb), abs(sa * cb - ca * sb)
+    la, wa, lb, wb = abs(a.length), abs(a.width), abs(b.length), abs(b.width)
+    dx, dy = b.x - a.x, b.y - a.y
+    return min(
+        (la + lb * cos_ab + wb * sin_ab) / 2.0 - abs(dx * ca + dy * sa),
+        (wa + lb * sin_ab + wb * cos_ab) / 2.0 - abs(dy * ca - dx * sa),
+        (lb + la * cos_ab + wa * sin_ab) / 2.0 - abs(dx * cb + dy * sb),
+        (wb + la * sin_ab + wa * cos_ab) / 2.0 - abs(dy * cb - dx * sb),
+        la,
+        wa,
+        lb,
+        wb,
+    )
+
+
 def obbs_overlap(a: Box, b: Box) -> bool:
     """Whether the boxes interpenetrate: `signed_separation(a, b) > 0`.
 
     Pairs whose bounding circles are more than GUARD apart return False
-    without the axis test.  That is exact: the boxes are then more than
+    without an axis test.  That is exact: the boxes are then more than
     GUARD apart too, and since every exterior angle of the rectangles'
     Minkowski difference is at most 90 degrees, one of the four face axes
     separates them by at least GUARD / sqrt(2).  `signed_separation` would
     return <= -7e-4, far beyond its rounding error.
+
+    Other pairs take the sign of `_scalar_separation` when it is further
+    than GUARD * (1 + M) from 0, M being the sum of both boxes' |x|, |y|,
+    length and width.  Both values are short sums of terms no larger than
+    M, so they differ by a few units in the last place of M, some
+    1e-15 * M: eleven orders of magnitude inside the band.  A sum, unlike
+    max(), keeps a NaN, so a NaN or infinite input falls through to the
+    exact test, as does a NaN margin.
     """
     reach = (math.hypot(a.length, a.width) + math.hypot(b.length, b.width)) / 2.0 + GUARD
     dx, dy = a.x - b.x, a.y - b.y
     if dx * dx + dy * dy > reach * reach:
+        return False
+    scale = abs(a.x) + abs(a.y) + abs(a.length) + abs(a.width)
+    scale += abs(b.x) + abs(b.y) + abs(b.length) + abs(b.width)
+    band = GUARD * (1.0 + scale)
+    margin = _scalar_separation(a, b)
+    if margin > band:
+        return True
+    if margin < -band:
         return False
     return signed_separation(a, b) > 0.0
 

@@ -158,7 +158,16 @@ def trace_from_dict(data) -> Trace:
 
 
 def write_trace_json(trace: Trace, path: Path | str) -> None:
-    Path(path).write_text(json.dumps(trace_to_dict(trace), indent=2, sort_keys=True) + "\n")
+    """Write a `trace.json`, creating its directory; TraceError, and nothing
+    written, when a number in the trace is not finite (`read_trace_json`
+    would reject it)."""
+    try:
+        text = json.dumps(trace_to_dict(trace), indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise TraceError("trace holds a non-finite number, which JSON cannot carry") from None
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text + "\n")
 
 
 def read_trace_json(path: Path | str) -> Trace:

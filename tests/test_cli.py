@@ -249,6 +249,48 @@ def test_sim_requirement_failure(tmp_path, capsys):
     assert report["requirements"] == [{"text": "require collision", "passed": False}]
 
 
+# An ego whose position leaves the float range some 1.8 s in.
+RUNAWAY_SCRIPT = (
+    "ego = new Car at (0.0, 0.0) with speed 1e308\n"
+    "lead = new Car at (0.0, 50.0)\n"
+    "terminate when time above {horizon}\n"
+)
+
+
+def test_sim_refuses_to_write_a_non_finite_trace(tmp_path, capsys):
+    script = tmp_path / "runaway.scn"
+    script.write_text(RUNAWAY_SCRIPT.format(horizon=5.0))
+    assert main(["sim", str(script), "--map", "straight", "-o", str(tmp_path / "s")]) == 1
+    assert "non-finite" in json.loads(capsys.readouterr().out)["error"]
+    assert not (tmp_path / "s").exists()
+
+
+def test_pipeline_records_a_non_finite_trace_as_a_row_error(tmp_path, capsys):
+    script = tmp_path / "runaway.scn"
+    script.write_text(RUNAWAY_SCRIPT.format(horizon=2.0))
+    out = tmp_path / "out"
+    assert main(_pipeline_args(tmp_path, script, out, ["-n", "1"])) == 1  # no variation passes
+    [row] = json.loads((out / "summary.json").read_text())["variations"]
+    assert "non-finite" in row["error"] and not row["passed"]
+
+
+@pytest.mark.parametrize("pinhole", [False, True], ids=["topdown", "pinhole"])
+def test_render_huge_coordinates_draw_nothing(tmp_path, capsys, pinhole):
+    # The ego reaches 2e307 m: past the float range once projected.
+    script = tmp_path / "runaway.scn"
+    script.write_text(RUNAWAY_SCRIPT.format(horizon=0.2))
+    assert main(["sim", str(script), "--map", "straight", "-o", str(tmp_path / "s")]) == 0
+    capsys.readouterr()
+    camera = {"variant": "pinhole", "position": [0.0, -30.0, 1.2], "yaw_deg": 90.0,
+              "focal_px": 64.0, "width": 64, "height": 48}
+    (tmp_path / "camera.json").write_text(json.dumps(camera))
+    argv = ["render", str(tmp_path / "s" / "trace.json"), "--map", "straight", "-o", str(tmp_path / "r")]
+    if pinhole:
+        argv += ["--camera", str(tmp_path / "camera.json")]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["frames"] == 5
+
+
 def test_sim_compile_failure(tmp_path, capsys):
     script = tmp_path / "broken.scn"
     script.write_text("ego = new Car at (0.0,\n")

@@ -370,6 +370,20 @@ def test_pinhole_box_behind_camera_draws_nothing():
     assert not (seg == SegClass.PEDESTRIAN).any()
 
 
+def test_topdown_box_past_the_float_range_draws_nothing():
+    camera = TopDownCamera(0.0, 0.0)
+    car = _agent("a", AgentClass.CAR, 2e307, 0.0)  # 2e308 px from the centre
+    seg, depth = render_frame([car], EMPTY_WORLD, camera)
+    assert (seg == SegClass.BACKGROUND).all() and (depth == camera.far_plane).all()
+
+
+def test_pinhole_box_projected_past_the_float_range_draws_nothing():
+    car = _agent("a", AgentClass.CAR, 10.0, 1e307)  # 4e308 px to the left
+    assert _pixel_window(LEVEL_CAMERA, car) is None
+    seg = _assert_matches_full_grid([car], EMPTY_WORLD, LEVEL_CAMERA)
+    assert not (seg == SegClass.VEHICLE).any()
+
+
 def test_pinhole_box_in_view_is_windowed():
     car = _agent("a", AgentClass.CAR, 15.0, 1.0, heading=0.4)
     rows, cols = _pixel_window(LEVEL_CAMERA, car)

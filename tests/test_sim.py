@@ -1,7 +1,9 @@
 """Collision geometry, the classifier, maps, and the fixed-step engine."""
 
+import hashlib
 import json
 import math
+import pickle
 import random
 from pathlib import Path
 
@@ -12,10 +14,10 @@ from hypothesis import strategies as st
 
 from scenekit.dsl import compile_script
 from scenekit.dsl.nodes import AgentClass
-from scenekit.dsl.sampler import SampleError, sample_parameters
-from scenekit.sim import geometry
+from scenekit.dsl.sampler import SampleError, sample_parameters, sample_variations
+from scenekit.sim import engine, geometry
 from scenekit.sim.classify import CollisionClass, classify_collision
-from scenekit.sim.engine import PlacementError, SimConfig, run
+from scenekit.sim.engine import AgentState, PlacementError, SimConfig, run
 from scenekit.sim.geometry import (
     GUARD,
     Box,
@@ -28,6 +30,7 @@ from scenekit.sim.geometry import (
     rel_heading_deg,
     signed_separation,
 )
+from scenekit.sim.geometry import _scalar_separation
 from scenekit.sim.requirements import check_requirements
 from scenekit.sim.traceio import (
     read_trace_json,
@@ -37,6 +40,7 @@ from scenekit.sim.traceio import (
 from scenekit.sim.worldmap import MapError, WorldMap, builtin_map, load_map
 
 FIXTURES = Path(__file__).parent / "data" / "fixtures"
+LIBRARY = Path(__file__).resolve().parent.parent / "src" / "scenekit" / "data" / "library"
 
 
 def _track(trace, name):
@@ -202,6 +206,43 @@ def test_far_pair_never_reaches_the_axis_test(monkeypatch):
     for b in (Box(40.0, -25.0, 1.2, 4.5, 2.0), Box(just_past, 0.0, 0.3, 4.5, 2.0)):
         assert not obbs_overlap(a, b)
         assert not obbs_overlap(b, a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pair=_box_pairs(),
+    exponents=st.tuples(st.floats(0.0, 300.0), st.floats(0.0, 300.0)),
+    signs=st.tuples(st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0])),
+)
+def test_translated_pairs_keep_the_axis_test_verdict(pair, exponents, signs):
+    # Far from the origin rounding grows with the coordinates (a float's
+    # spacing is 16 m at 1e17); the verdict must still be the axis test's.
+    ox, oy = (sign * 10.0**e for sign, e in zip(signs, exponents))
+    a, b = (Box(box.x + ox, box.y + oy, box.heading, box.length, box.width) for box in pair)
+    assert obbs_overlap(a, b) == (signed_separation(a, b) > 0.0)
+
+
+def test_scalar_phase_needs_the_fallback_and_the_scaled_band():
+    # Face to face, the scalar value and the axis test differ in the last
+    # bits, on opposite sides of 0: the scalar sign alone would be wrong.
+    a = Box(34.7, 26.3, 0.1, 2.0, 2.0)
+    reach = a.length / 2.0 + 3.0 / 2.0
+    b = Box(a.x + reach * math.cos(0.1), a.y + reach * math.sin(0.1), 0.1, 3.0, 2.0)
+    assert _scalar_separation(a, b) < 0.0 < signed_separation(a, b)
+    assert obbs_overlap(a, b)
+    # At 1e17 the axis test's corners round onto the centre: the two values
+    # are metres apart, so a band of a fixed GUARD would be wrong too.
+    c = Box(1e17, 0.0, 0.0, 4.0, 2.0)
+    assert _scalar_separation(c, c) == 2.0 and signed_separation(c, c) == 0.0
+    assert not obbs_overlap(c, c)
+
+
+def test_agent_state_and_box_are_slotted_and_pickle():
+    state = AgentState("ego", AgentClass.CAR, 1.5, -2.0, 0.25, 9.0, 4.5, 2.0, "cruise", False)
+    box = state.box()
+    for value in (state, box):
+        assert "__slots__" in type(value).__dict__ and not hasattr(value, "__dict__")
+        assert pickle.loads(pickle.dumps(value)) == value
 
 
 # --- geometry: faces, headings, impact point ---------------------------
@@ -603,6 +644,54 @@ def test_identical_runs_are_bitwise_equal():
     for fa, fb in zip(first.frames, second.frames):
         for sa, sb in zip(fa, fb):
             assert (sa.x, sa.y, sa.heading, sa.speed) == (sb.x, sb.y, sb.heading, sb.speed)
+
+
+def test_frames_hold_their_own_states(monkeypatch):
+    live = []
+
+    def instantiate(scenario, world):
+        states, runtimes = real_instantiate(scenario, world)
+        live.extend(states)
+        return states, runtimes
+
+    real_instantiate = engine._instantiate
+    monkeypatch.setattr(engine, "_instantiate", instantiate)
+    _, trace = _fixture_trace("t_bone", "crossing")
+    ids = [id(s) for frame in trace.frames for s in frame]
+    assert len(set(ids)) == len(ids)
+    assert not set(ids) & {id(s) for s in live}
+    before = trace_to_dict(trace)
+    for state in live:
+        state.x, state.speed, state.active, state.behavior_state = 1e9, -1.0, False, "moved"
+    assert trace_to_dict(trace) == before
+
+
+# The library scripts on the maps perfbench's script-screen pairs them with.
+LIBRARY_MAPS = (
+    ("rear_end.scn", "straight"),
+    ("t_bone.scn", "crossing"),
+    ("cyclist.scn", "crossing"),
+    ("ped_occluded.scn", "crossing"),
+    ("cut_in.scn", "straight"),
+    ("intersection.scn", "crossing"),
+    ("wet_lane_change.scn", "straight"),
+)
+
+
+def test_library_traces_match_the_golden_digest(tmp_path):
+    # 280 traces, byte for byte: any change to the simulator's arithmetic,
+    # or to the verdict of its collision test, moves this digest.
+    digest = hashlib.sha256()
+    path = tmp_path / "trace.json"
+    for script, map_name in LIBRARY_MAPS:
+        ast, diags = compile_script((LIBRARY / script).read_text())
+        assert ast is not None and diags == []
+        world = builtin_map(map_name)
+        for scenario in sample_variations(ast, 20, base_seed=5):
+            for collision_stop in (True, False):
+                write_trace_json(run(scenario, world, SimConfig(collision_stop=collision_stop)), path)
+                digest.update(path.read_bytes())
+    assert digest.hexdigest() == "c0880e55fa4369a187b706e39570af325a4bb05dc7dc290df0f956858865e97d"
 
 
 # --- trace serialization -----------------------------------------------

@@ -39,7 +39,7 @@ from scenekit.render.formats import write_pfm, write_pgm
 from scenekit.render.raster import edge_from_seg, prepare_static, render_frame
 from scenekit.sim.engine import MAX_STEPS, PlacementError, SimConfig, run
 from scenekit.sim.requirements import check_requirements
-from scenekit.sim.traceio import TraceError, read_trace_json, write_trace_json
+from scenekit.sim.traceio import TraceError, read_trace_json, trace_json_bytes, write_trace_json
 from scenekit.sim.worldmap import MapError, WorldMap, builtin_map, load_map
 
 EXIT_OK = 0
@@ -310,7 +310,11 @@ def cmd_render(args) -> int:
 
 
 def _export_trace(trace, world, camera, weights, prompt, steps, strength, seed, out) -> dict:
-    """Render, diffuse and export one trace as a bundle; returns the manifest."""
+    """Render, diffuse and export one trace as a bundle; returns the manifest.
+
+    The trace is serialized first, so one that cannot be (TraceError) fails
+    before any frame is rendered or any file written."""
+    trace_json = trace_json_bytes(trace)
     static = prepare_static(world, camera)
     frames: list[BundleFrame] = []
     for index, frame in enumerate(trace.frames):
@@ -329,7 +333,7 @@ def _export_trace(trace, world, camera, weights, prompt, steps, strength, seed, 
         "camera": camera_to_dict(camera),
         "seed": seed,
     }
-    return export_bundle(frames, prompt, config, out, trace=trace)
+    return export_bundle(frames, prompt, config, out, trace=trace_json)
 
 
 def cmd_bundle(args) -> int:

@@ -11,14 +11,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path, PurePosixPath
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 
-from scenekit.render.formats import write_pfm, write_pgm
+from scenekit.render.formats import encode_pfm, encode_pgm
 from scenekit.sim.engine import Trace
-from scenekit.sim.traceio import write_trace_json
+from scenekit.sim.traceio import trace_json_bytes
 
 
 class BundleError(Exception):
@@ -59,15 +62,19 @@ def export_bundle(
     prompt: str,
     config: dict,
     out_dir: str | Path,
-    trace: Trace | None = None,
+    trace: Trace | bytes | None = None,
 ) -> dict:
     """Write the bundle layout and return its manifest.
 
     Layout: manifest.json, prompt.txt, config.json, optionally trace.json,
     and frames/NNNNNN/{seg.pgm, depth.pfm, edge.pgm, combined.pfm,
     latent_final.pfm}.  The manifest maps the relative path of every file
-    this export wrote to its sha256 hex digest, so files left in `out_dir` by
-    an earlier, longer export stay unlisted and fail `verify_bundle`.
+    this export wrote to the sha256 hex digest of the bytes written, so
+    nothing is read back, and files left in `out_dir` by an earlier, longer
+    export stay unlisted and fail `verify_bundle`.  `trace` is a Trace or
+    its `trace_json_bytes`; a Trace that cannot be serialized raises
+    TraceError before anything is written.  The frames are written and
+    hashed in one contiguous chunk per usable CPU.
     """
     if not frames:
         raise BundleError("bundle needs at least one frame")
@@ -79,35 +86,70 @@ def export_bundle(
             raise InconsistentDims(
                 f"frame {index}: shape {_frame_shape(frame, index)} differs from frame 0 {shape}"
             )
+    small = {
+        "prompt.txt": prompt.encode("utf-8"),
+        "config.json": (json.dumps(config, indent=2, sort_keys=True) + "\n").encode("ascii"),
+    }
+    if trace is not None:
+        small["trace.json"] = trace_json_bytes(trace) if isinstance(trace, Trace) else trace
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "prompt.txt").write_text(prompt)
-    (out / "config.json").write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
-    written = ["prompt.txt", "config.json"]
-    if trace is not None:
-        write_trace_json(trace, out / "trace.json")
-        written.append("trace.json")
-    for index, frame in enumerate(frames):
-        frame_dir = f"frames/{index:06d}"
-        (out / frame_dir).mkdir(parents=True, exist_ok=True)
-        for name, write, raster in (
-            ("seg.pgm", write_pgm, frame.seg),
-            ("depth.pfm", write_pfm, frame.depth),
-            ("edge.pgm", write_pgm, frame.edge),
-            ("combined.pfm", write_pfm, frame.combined),
-            ("latent_final.pfm", write_pfm, frame.latent_final),
-        ):
-            write(out / frame_dir / name, raster)
-            written.append(f"{frame_dir}/{name}")
-
-    manifest = {"version": 1, "files": {rel: _sha256(out / rel) for rel in written}}
+    (out / "frames").mkdir(parents=True, exist_ok=True)
+    files = {rel: _write_hashed(out / rel, data) for rel, data in small.items()}
+    files.update(_map_chunks(partial(_write_frames, out), list(enumerate(frames))))
+    manifest = {"version": 1, "files": files}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _write_frames(out: Path, numbered: list[tuple[int, BundleFrame]]) -> list[tuple[str, str]]:
+    """Write each (index, frame)'s rasters; (relative path, digest) pairs."""
+    written = []
+    for index, frame in numbered:
+        frame_dir = f"frames/{index:06d}"
+        (out / frame_dir).mkdir(exist_ok=True)
+        for name, encode, raster in (
+            ("seg.pgm", encode_pgm, frame.seg),
+            ("depth.pfm", encode_pfm, frame.depth),
+            ("edge.pgm", encode_pgm, frame.edge),
+            ("combined.pfm", encode_pfm, frame.combined),
+            ("latent_final.pfm", encode_pfm, frame.latent_final),
+        ):
+            rel = f"{frame_dir}/{name}"
+            written.append((rel, _write_hashed(out / rel, *encode(raster))))
+    return written
+
+
+def _write_hashed(path: Path, header: bytes, payload: bytes | memoryview = b"") -> str:
+    """Write `header` then `payload` to `path`; the sha256 hex digest of
+    exactly those bytes."""
+    digest = hashlib.sha256(header)
+    digest.update(payload)
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(payload)
+    return digest.hexdigest()
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map_chunks(work, items: list) -> list:
+    """`work(chunk)` on one contiguous chunk of `items` per usable CPU, in
+    threads (hashlib and file I/O release the GIL), results concatenated in
+    `items` order; inline when there is one chunk.  One task per file instead
+    would cost more in dispatch than small files take to hash."""
+    count = min(_usable_cpus(), len(items))
+    if count <= 1:
+        return work(items)
+    bounds = [len(items) * k // count for k in range(count + 1)]
+    with ThreadPoolExecutor(max_workers=count) as pool:
+        parts = list(pool.map(work, [items[a:b] for a, b in zip(bounds, bounds[1:])]))
+    return [result for part in parts for result in part]
 
 
 def verify_bundle(bundle_dir: str | Path) -> list[str]:
@@ -115,11 +157,12 @@ def verify_bundle(bundle_dir: str | Path) -> list[str]:
 
     An empty list means the bundle is intact.  Problems cover a missing or
     unreadable manifest, listed paths that are absolute or climb out with
-    `..` (never opened), missing files, hash mismatches, and files on disk
-    that the manifest does not list.
+    `..` (never opened), missing files (a listed path that is not a regular
+    file, which is never opened), unreadable files, hash mismatches, and
+    files on disk that the manifest does not list.  The listed files are
+    hashed in one contiguous chunk per usable CPU.
     """
     root = Path(bundle_dir)
-    problems: list[str] = []
     try:
         manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
         listed: dict[str, str] = manifest["files"]
@@ -130,21 +173,62 @@ def verify_bundle(bundle_dir: str | Path) -> list[str]:
     if not isinstance(listed, dict):
         return [f"unreadable manifest in {root}: 'files' is not an object"]
 
-    for rel, expected in sorted(listed.items()):
-        rel_path = PurePosixPath(rel)
-        if rel_path.is_absolute() or ".." in rel_path.parts:
+    on_disk = _scan(root)
+    problems = _map_chunks(partial(_check, root, on_disk), sorted(listed.items()))
+    problems.extend(f"unlisted file: {rel}" for rel in sorted(on_disk.keys() - listed.keys()))
+    return problems
+
+
+def _scan(root: Path) -> dict[str, bool]:
+    """Every entry under `root` that is not a directory, bar any named
+    manifest.json, as its relative POSIX path -> whether it is a regular
+    file (a symlink is not).  The types come with the directory listing, so
+    this stats nothing but symlinks; symlinked directories are not entered
+    and unreadable ones are skipped, as in `os.walk`."""
+    found: dict[str, bool] = {}
+    pending = [""]
+    while pending:
+        prefix = pending.pop()
+        try:
+            with os.scandir(root / prefix) as entries:
+                for entry in entries:
+                    if entry.is_dir():
+                        if not entry.is_symlink():
+                            pending.append(f"{prefix}{entry.name}/")
+                    elif entry.name != "manifest.json":
+                        found[prefix + entry.name] = entry.is_file(follow_symlinks=False)
+        except OSError:
+            continue
+    return found
+
+
+_READ_SIZE = 1 << 20
+
+
+def _check(root: Path, on_disk: dict[str, bool], items: list[tuple[str, str]]) -> list[str]:
+    """The problems with listed (relative path, expected digest) items."""
+    problems = []
+    view = memoryview(bytearray(_READ_SIZE))
+    for rel, expected in items:
+        if rel.startswith("/") or ".." in rel.split("/"):
             problems.append(f"unsafe path: {rel}")
             continue
-        path = root / rel
-        if not path.is_file():
-            problems.append(f"missing file: {rel}")
+        try:
+            if on_disk.get(rel):
+                path = f"{root}/{rel}"
+            elif (root / rel).is_file():
+                # spelled unlike the listing, or reached through a symlink
+                path = root / rel
+            else:
+                problems.append(f"missing file: {rel}")  # opening a FIFO would block
+                continue
+            digest = hashlib.sha256()
+            with open(path, "rb", buffering=0) as f:
+                while size := f.readinto(view):
+                    digest.update(view[:size])
+        except OSError as e:
+            problems.append(f"unreadable file: {rel} ({e.strerror or e})")
             continue
-        if _sha256(path) != expected:
+        if digest.hexdigest() != expected:
             problems.append(f"hash mismatch: {rel}")
-    on_disk = {
-        path.relative_to(root).as_posix()
-        for path in root.rglob("*")
-        if not path.is_dir() and path.name != "manifest.json"
-    }
-    problems.extend(f"unlisted file: {rel}" for rel in sorted(on_disk - set(listed)))
     return problems

@@ -17,15 +17,30 @@ class FormatError(Exception):
     pass
 
 
-def write_pgm(path: str | Path, raster: np.ndarray) -> None:
-    """Write a 2D uint8 array as a binary (P5) PGM with maxval 255."""
+def _byte_view(data: np.ndarray) -> memoryview:
+    """The bytes of a C-contiguous array, without copying them."""
+    return memoryview(data.reshape(-1).view(np.uint8))
+
+
+def _write(path: str | Path, header: bytes, payload: memoryview) -> None:
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(payload)
+
+
+def encode_pgm(raster: np.ndarray) -> tuple[bytes, memoryview]:
+    """(header, payload) of a 2D uint8 array as a binary (P5) PGM with
+    maxval 255; the file is the two written back to back."""
     data = np.ascontiguousarray(raster, dtype=np.uint8)
     if data.ndim != 2:
         raise FormatError(f"PGM needs a 2D raster, got shape {raster.shape}")
     h, w = data.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(data.tobytes())
+    return f"P5\n{w} {h}\n255\n".encode("ascii"), _byte_view(data)
+
+
+def write_pgm(path: str | Path, raster: np.ndarray) -> None:
+    """Write a 2D uint8 array as a binary (P5) PGM with maxval 255."""
+    _write(path, *encode_pgm(raster))
 
 
 def _read_header_tokens(f, count: int) -> list[bytes]:
@@ -65,16 +80,20 @@ def read_pgm(path: str | Path) -> np.ndarray:
         return np.frombuffer(data, dtype=np.uint8).reshape(h, w)
 
 
-def write_pfm(path: str | Path, raster: np.ndarray) -> None:
-    """Write a 2D float array as a grayscale little-endian PFM."""
+def encode_pfm(raster: np.ndarray) -> tuple[bytes, memoryview]:
+    """(header, payload) of a 2D float array as a grayscale little-endian
+    PFM; the file is the two written back to back."""
     data = np.asarray(raster, dtype=np.float32)
     if data.ndim != 2:
         raise FormatError(f"PFM needs a 2D raster, got shape {raster.shape}")
     h, w = data.shape
-    with open(path, "wb") as f:
-        f.write(f"Pf\n{w} {h}\n-1.0\n".encode("ascii"))
-        # PFM rows run bottom to top.
-        f.write(np.ascontiguousarray(data[::-1]).tobytes())
+    # PFM rows run bottom to top.
+    return f"Pf\n{w} {h}\n-1.0\n".encode("ascii"), _byte_view(np.ascontiguousarray(data[::-1]))
+
+
+def write_pfm(path: str | Path, raster: np.ndarray) -> None:
+    """Write a 2D float array as a grayscale little-endian PFM."""
+    _write(path, *encode_pfm(raster))
 
 
 def read_pfm(path: str | Path) -> np.ndarray:

@@ -188,8 +188,9 @@ def _paint_topdown(
     box = agent.box()
     corners = box_corners(box)
     mpp = camera.meters_per_pixel
-    px = (corners[:, 0] - camera.center_x) / mpp + camera.width / 2.0
-    py = (camera.center_y - corners[:, 1]) / mpp + camera.height / 2.0
+    with np.errstate(over="ignore"):  # checked just below
+        px = (corners[:, 0] - camera.center_x) / mpp + camera.width / 2.0
+        py = (camera.center_y - corners[:, 1]) / mpp + camera.height / 2.0
     if not (np.isfinite(px).all() and np.isfinite(py).all()):
         return  # a corner past the float range: the box lies off-image
     j0 = max(0, int(math.floor(px.min())) - 1)
@@ -270,8 +271,9 @@ def _pixel_window(camera: PinholeCamera, agent: AgentState) -> tuple[slice, slic
             return None
         ahead = rel @ forward
     # Inverse of the pixel-center rays in _prepare_pinhole.
-    cols = cx + camera.focal_px * (rel @ right) / ahead - 0.5
-    rows = cy - camera.focal_px * (rel @ up) / ahead - 0.5
+    with np.errstate(over="ignore"):  # checked just below
+        cols = cx + camera.focal_px * (rel @ right) / ahead - 0.5
+        rows = cy - camera.focal_px * (rel @ up) / ahead - 0.5
     if not (np.isfinite(cols).all() and np.isfinite(rows).all()):
         return None  # a vertex projected past the float range: off-image
     j0 = max(0, math.floor(cols.min()) - 1)
@@ -309,7 +311,7 @@ def _ray_box_hits(
         (oy, dy, -agent.width / 2.0, agent.width / 2.0),
         (oz, dz, 0.0, height),
     ):
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             inv = 1.0 / d
             t1 = (lo - o) * inv
             t2 = (hi - o) * inv

@@ -157,17 +157,23 @@ def trace_from_dict(data) -> Trace:
     )
 
 
-def write_trace_json(trace: Trace, path: Path | str) -> None:
-    """Write a `trace.json`, creating its directory; TraceError, and nothing
-    written, when a number in the trace is not finite (`read_trace_json`
-    would reject it)."""
+def trace_json_bytes(trace: Trace) -> bytes:
+    """The bytes of a `trace.json`; TraceError when a number in the trace is
+    not finite (`read_trace_json` would reject it)."""
     try:
         text = json.dumps(trace_to_dict(trace), indent=2, sort_keys=True, allow_nan=False)
     except ValueError:
         raise TraceError("trace holds a non-finite number, which JSON cannot carry") from None
+    return (text + "\n").encode("ascii")
+
+
+def write_trace_json(trace: Trace, path: Path | str) -> None:
+    """Write `trace_json_bytes(trace)` to `path`, creating its directory;
+    TraceError, and nothing written, for a non-finite trace."""
+    data = trace_json_bytes(trace)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text + "\n")
+    path.write_bytes(data)
 
 
 def read_trace_json(path: Path | str) -> Trace:

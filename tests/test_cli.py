@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import requests
 
+from scenekit import cli
 from scenekit.cli import main
 from scenekit.promptgen.stubserver import StubLLMServer
 from scenekit.render.cameras import MAX_IMAGE_SIDE, camera_from_dict
@@ -274,6 +275,52 @@ def test_pipeline_records_a_non_finite_trace_as_a_row_error(tmp_path, capsys):
     assert "non-finite" in row["error"] and not row["passed"]
 
 
+def test_pipeline_fails_a_non_finite_trace_before_rendering(tmp_path, capsys, monkeypatch):
+    rendered = []
+    render_frame = cli.render_frame
+    monkeypatch.setattr(cli, "render_frame", lambda *args: rendered.append(1) or render_frame(*args))
+    script = tmp_path / "runaway.scn"
+    script.write_text(RUNAWAY_SCRIPT.format(horizon=2.0))
+    out = tmp_path / "out"
+    assert main(_pipeline_args(tmp_path, script, out, ["-n", "1"])) == 1
+    [row] = json.loads((out / "summary.json").read_text())["variations"]
+    assert "non-finite" in row["error"]
+    assert rendered == []
+    assert not (out / "var-000").exists()
+
+
+PINHOLE_CAMERA = {"variant": "pinhole", "position": [0.0, -30.0, 1.2], "yaw_deg": 90.0,
+                  "focal_px": 64.0, "width": 64, "height": 48}
+
+
+@pytest.mark.parametrize("pinhole", [False, True], ids=["topdown", "pinhole"])
+def test_runaway_render_and_pipeline_print_no_warnings(tmp_path, pinhole):
+    # A box projected past the float range overflows in the raster's
+    # projection; that is handled, and must not leak numpy warnings.
+    script = tmp_path / "runaway.scn"
+    script.write_text(RUNAWAY_SCRIPT.format(horizon=0.2))
+    if pinhole:
+        camera = tmp_path / "pinhole.json"
+        camera.write_text(json.dumps(PINHOLE_CAMERA))
+    else:  # fine enough that the box's pixel coordinates overflow
+        camera = _small_camera(tmp_path, mpp=0.05)
+    assert main(["sim", str(script), "--map", "straight", "-o", str(tmp_path / "s")]) == 0
+    runs = [
+        ["render", str(tmp_path / "s" / "trace.json"), "--map", "straight", "--camera", str(camera),
+         "-o", str(tmp_path / "r")],
+        ["pipeline", "--script", str(script), "--map", "straight", "--camera", str(camera),
+         "--steps", "1", "-n", "1", "-o", str(tmp_path / "p")],
+    ]
+    for argv in runs:
+        result = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "scenekit.cli", *argv],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.stderr == "", argv[0]
+    [row] = json.loads((tmp_path / "p" / "summary.json").read_text())["variations"]
+    assert row["error"] is None and row["bundle"] == "var-000"
+
+
 @pytest.mark.parametrize("pinhole", [False, True], ids=["topdown", "pinhole"])
 def test_render_huge_coordinates_draw_nothing(tmp_path, capsys, pinhole):
     # The ego reaches 2e307 m: past the float range once projected.
@@ -281,9 +328,7 @@ def test_render_huge_coordinates_draw_nothing(tmp_path, capsys, pinhole):
     script.write_text(RUNAWAY_SCRIPT.format(horizon=0.2))
     assert main(["sim", str(script), "--map", "straight", "-o", str(tmp_path / "s")]) == 0
     capsys.readouterr()
-    camera = {"variant": "pinhole", "position": [0.0, -30.0, 1.2], "yaw_deg": 90.0,
-              "focal_px": 64.0, "width": 64, "height": 48}
-    (tmp_path / "camera.json").write_text(json.dumps(camera))
+    (tmp_path / "camera.json").write_text(json.dumps(PINHOLE_CAMERA))
     argv = ["render", str(tmp_path / "s" / "trace.json"), "--map", "straight", "-o", str(tmp_path / "r")]
     if pinhole:
         argv += ["--camera", str(tmp_path / "camera.json")]

@@ -1,8 +1,12 @@
 """Latent init, diffusion loop contract, mock denoiser, and bundles."""
 
+import contextlib
+import errno
 import hashlib
 import json
+import os
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +25,14 @@ from scenekit.condgen import (
     run_diffusion,
     verify_bundle,
 )
+from scenekit.condgen import bundle
 from scenekit.condgen.bundle import BundleError
 from scenekit.condgen.diffusion import prompt_offset
 from scenekit.condgen.latent import InvalidDims
 from scenekit.render.combine import DimensionMismatch
+from scenekit.dsl.nodes import AgentClass
 from scenekit.render.formats import read_pfm, read_pgm
+from scenekit.sim.engine import AgentState, Trace
 
 
 class SpyBackend:
@@ -420,3 +427,109 @@ def test_trace_included_and_hashed(tmp_path):
     assert back.map_name == "straight"
     assert back.frames[0][0].name == "ego"
     assert verify_bundle(tmp_path / "b") == []
+
+
+_TRACE = Trace(
+    map_name="straight",
+    dt=0.05,
+    frames=[[AgentState("ego", AgentClass.CAR, 1.0, 2.0, 0.0, 5.0, 4.5, 2.0, "cruising")]],
+    events=[],
+    termination="timeout",
+)
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_export_and_verify_do_not_depend_on_the_thread_count(tmp_path, monkeypatch):
+    frames = [_frame(i, shape=(9, 7)) for i in range(8)]
+    trees, reports = [], []
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(bundle, "_usable_cpus", lambda: threads)
+        root = tmp_path / f"t{threads}"
+        manifest = export_bundle(frames, "p", CONFIG, root, trace=_TRACE)
+        assert list(manifest["files"])[:3] == ["prompt.txt", "config.json", "trace.json"]
+        trees.append(_tree(root))
+        intact = verify_bundle(root)
+        (root / "frames/000005/edge.pgm").write_bytes(b"P5\n1 1\n255\n\x00")
+        (root / "frames/000002/seg.pgm").unlink()
+        (root / "frames/000006/stray.pfm").write_bytes(b"")
+        reports.append((intact, verify_bundle(root)))
+    assert trees[0] == trees[1] == trees[2]
+    assert len(trees[0]) == 8 * 5 + 4  # rasters, prompt, config, trace, manifest
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0] == (
+        [],
+        [
+            "missing file: frames/000002/seg.pgm",
+            "hash mismatch: frames/000005/edge.pgm",
+            "unlisted file: frames/000006/stray.pfm",
+        ],
+    )
+
+
+def test_manifest_digests_are_of_the_files_as_read_back(tmp_path):
+    root = tmp_path / "b"
+    manifest = export_bundle([_frame(i) for i in range(3)], "p ✓", CONFIG, root, trace=_TRACE)
+    assert len(manifest["files"]) == 3 * 5 + 3
+    for rel, digest in manifest["files"].items():
+        assert hashlib.sha256((root / rel).read_bytes()).hexdigest() == digest, rel
+
+
+def _verify_with_timeout(root: Path, fifo: Path, seconds: float = 10.0) -> list[str]:
+    """verify_bundle(root), failing instead of hanging if it blocks on `fifo`."""
+    result: list[list[str]] = []
+    worker = threading.Thread(target=lambda: result.append(verify_bundle(root)), daemon=True)
+    worker.start()
+    worker.join(seconds)
+    if worker.is_alive():
+        # Give a reader blocked opening the FIFO a writer, so it returns.
+        with contextlib.suppress(OSError):
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        worker.join(seconds)
+        pytest.fail("verify_bundle blocked opening a FIFO")
+    return result[0]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+@pytest.mark.parametrize("threads", [1, 3])
+def test_verify_reports_every_kind_of_problem_in_order(tmp_path, monkeypatch, threads):
+    monkeypatch.setattr(bundle, "_usable_cpus", lambda: threads)
+    root = tmp_path / "b"
+    export_bundle([_frame(i) for i in range(2)], "p", CONFIG, root)
+    manifest = json.loads((root / "manifest.json").read_text())
+    manifest["files"]["../outside.txt"] = "0" * 64
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    (root / "frames/000000/edge.pgm").unlink()
+    (root / "frames/000001/seg.pgm").unlink()
+    (root / "frames/000001/seg.pgm").mkdir()
+    (root / "frames/000001/depth.pfm").unlink()
+    os.mkfifo(root / "frames/000001/depth.pfm")
+    blob = bytearray((root / "frames/000000/combined.pfm").read_bytes())
+    blob[-1] ^= 0x01
+    (root / "frames/000000/combined.pfm").write_bytes(bytes(blob))
+    (root / "frames/000000/notes.txt").write_text("not exported")
+    (root / "stray.txt").write_text("not exported")
+    assert _verify_with_timeout(root, root / "frames/000001/depth.pfm") == [
+        "unsafe path: ../outside.txt",
+        "hash mismatch: frames/000000/combined.pfm",
+        "missing file: frames/000000/edge.pgm",
+        "missing file: frames/000001/depth.pfm",
+        "missing file: frames/000001/seg.pgm",
+        "unlisted file: frames/000000/notes.txt",
+        "unlisted file: stray.txt",
+    ]
+
+
+def test_verify_reports_an_unreadable_file_instead_of_raising(tmp_path, monkeypatch):
+    root = tmp_path / "b"
+    export_bundle([_frame(0)], "p", CONFIG, root)
+
+    def refuse_the_prompt(path, *args, **kwargs):
+        if str(path).endswith("prompt.txt"):
+            raise PermissionError(errno.EACCES, "Permission denied", str(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(bundle, "open", refuse_the_prompt, raising=False)
+    assert verify_bundle(root) == ["unreadable file: prompt.txt (Permission denied)"]

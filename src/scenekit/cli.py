@@ -20,9 +20,10 @@ import math
 import os
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from scenekit.condgen.bundle import BundleFrame, export_bundle, verify_bundle
+from scenekit.condgen.bundle import BundleFrame, export_bundle, usable_cpus, verify_bundle
 from scenekit.condgen.diffusion import DEFAULT_STEPS, DEFAULT_STRENGTH, MockDenoiser, run_diffusion
 from scenekit.dsl import compile_script
 from scenekit.dsl.diagnostics import has_errors
@@ -39,7 +40,7 @@ from scenekit.render.formats import write_pfm, write_pgm
 from scenekit.render.raster import edge_from_seg, prepare_static, render_frame
 from scenekit.sim.engine import MAX_STEPS, PlacementError, SimConfig, run
 from scenekit.sim.requirements import check_requirements
-from scenekit.sim.traceio import TraceError, read_trace_json, trace_json_bytes, write_trace_json
+from scenekit.sim.traceio import TraceError, read_trace_json, trace_json_bytes
 from scenekit.sim.worldmap import MapError, WorldMap, builtin_map, load_map
 
 EXIT_OK = 0
@@ -53,6 +54,7 @@ class CliError(Exception):
 
 MAX_VARIATIONS = 10_000  # most variations one pipeline run samples
 MAX_DENOISE_STEPS = 10_000  # most denoising steps per frame
+MAX_JOBS = 256  # most worker processes one pipeline run starts
 
 _AT_LEAST_0 = (lambda v, s: v >= 0, "at least 0")
 _AT_LEAST_1 = (lambda v, s: v >= 1, "at least 1")
@@ -90,7 +92,8 @@ SETTINGS = {
     "max_duration": (float, 30.0, (lambda v, s: 0 < v < math.inf and v / s.dt <= MAX_STEPS,
                                    f"finite, above 0 and at most {MAX_STEPS} steps of --dt"),
                      "simulated horizon in seconds"),
-    "jobs": (int, os.cpu_count() or 1, _AT_LEAST_1, "worker processes, one per CPU"),
+    "jobs": (int, min(os.cpu_count() or 1, MAX_JOBS), _from_1_to(MAX_JOBS),
+             "worker processes, one variation each at a time"),
 }
 
 
@@ -193,6 +196,16 @@ def _read_script(path: str) -> str:
         raise CliError(f"cannot read script {path!r}: {e}") from e
 
 
+def _make_out(path: str) -> Path:
+    """Create the output directory `path` (and its parents) if need be."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:  # a regular file in the way, no permission
+        raise CliError(f"cannot create output directory {path!r}: {e.strerror or e}") from e
+    return out
+
+
 def _print_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
@@ -217,8 +230,7 @@ def cmd_gen(args) -> int:
         temperature=args.temperature,
         repair_limit=args.repair_limit,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out(args.out)
     (out / "transcript.json").write_text(transcript.to_json() + "\n")
     if transcript.outcome == "success":
         assert transcript.script is not None
@@ -246,10 +258,11 @@ def cmd_sim(args) -> int:
         return EXIT_DOMAIN
     results = check_requirements(trace, scenario)
     try:
-        write_trace_json(trace, Path(args.out) / "trace.json")
+        trace_json = trace_json_bytes(trace)
     except TraceError as e:
         print(json.dumps({"error": str(e)}))
         return EXIT_DOMAIN
+    (_make_out(args.out) / "trace.json").write_bytes(trace_json)
     _print_json(
         {
             "termination": trace.termination,
@@ -296,8 +309,8 @@ def _control_maps(frame, world, camera, static, weights):
 
 def cmd_render(args) -> int:
     trace, world, camera, weights = _render_inputs(args)
-    out = Path(args.out) / "frames"
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out(args.out) / "frames"
+    out.mkdir(exist_ok=True)
     static = prepare_static(world, camera)
     for index, frame in enumerate(trace.frames):
         seg, depth, edge, combined = _control_maps(frame, world, camera, static, weights)
@@ -309,23 +322,37 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
-def _export_trace(trace, world, camera, weights, prompt, steps, strength, seed, out) -> dict:
+def _export_trace(
+    trace, world, camera, weights, prompt, steps, strength, seed, out, *, threads: int
+) -> dict:
     """Render, diffuse and export one trace as a bundle; returns the manifest.
 
     The trace is serialized first, so one that cannot be (TraceError) fails
-    before any frame is rendered or any file written."""
+    before any frame is rendered or any file written.  Frames are rendered
+    and diffused on up to `threads` threads (the numpy passes release the
+    GIL), in frame order; a failing frame raises the error of the lowest
+    failing index, as the serial loop would, and cancels the frames not yet
+    started."""
     trace_json = trace_json_bytes(trace)
     static = prepare_static(world, camera)
-    frames: list[BundleFrame] = []
-    for index, frame in enumerate(trace.frames):
-        seg, depth, edge, combined = _control_maps(frame, world, camera, static, weights)
+
+    def render(index: int) -> BundleFrame:
+        seg, depth, edge, combined = _control_maps(
+            trace.frames[index], world, camera, static, weights
+        )
         # one latent stream per frame, offset so frames do not share noise
         latent = run_diffusion(
             MockDenoiser(), combined, prompt, steps, strength, seed=seed * 1_000_003 + index
         )
-        frames.append(
-            BundleFrame(seg=seg, depth=depth, edge=edge, combined=combined, latent_final=latent)
-        )
+        return BundleFrame(seg=seg, depth=depth, edge=edge, combined=combined, latent_final=latent)
+
+    indices = range(len(trace.frames))
+    threads = min(threads, len(indices))
+    if threads <= 1:
+        frames = list(map(render, indices))
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            frames = list(pool.map(render, indices))
     config = {
         "steps": steps,
         "strength": strength,
@@ -346,8 +373,10 @@ def cmd_bundle(args) -> int:
     if args.map is None or args.out is None:
         raise CliError("bundle needs --map and --out when building")
     trace, world, camera, weights = _render_inputs(args)
+    out = _make_out(args.out)
     manifest = _export_trace(
-        trace, world, camera, weights, args.prompt, args.steps, args.strength, args.seed, args.out
+        trace, world, camera, weights, args.prompt, args.steps, args.strength, args.seed, out,
+        threads=usable_cpus(),
     )
     _print_json({"out": args.out, "frames": len(trace.frames), "files": len(manifest["files"])})
     return EXIT_OK
@@ -361,7 +390,9 @@ def _run_variation(task: dict) -> dict:
     """One variation end to end: sim, render, diffuse, bundle.
 
     Runs inside a worker process; the returned row is the only channel back
-    to the parent, so failures are recorded rather than raised.
+    to the parent, so failures are recorded rather than raised.  The frames
+    render on `task["threads"]` threads, or on one when the task has no
+    such key.
     """
     row = {
         "index": task["index"],
@@ -399,6 +430,7 @@ def _run_variation(task: dict) -> dict:
             task["strength"],
             scenario.seed,
             bundle_dir,
+            threads=task.get("threads", 1),
         )
         row["bundle"] = bundle_dir.name
     except Exception as e:  # noqa: BLE001 - report, do not kill the pool
@@ -423,7 +455,7 @@ def cmd_pipeline(args) -> int:
             raise CliError("pipeline needs --script or a scenario --type for generation")
         transcript = _generate(args, seed=args.seed)
         scenario_type = transcript.scenario_type
-        out.mkdir(parents=True, exist_ok=True)
+        _make_out(args.out)
         (out / "transcript.json").write_text(transcript.to_json() + "\n")
         if transcript.outcome != "success":
             _print_json({"outcome": "exhausted", "rounds": len(transcript.rounds)})
@@ -436,7 +468,7 @@ def cmd_pipeline(args) -> int:
         for d in diags:
             print(d.to_json())
         return EXIT_DOMAIN
-    out.mkdir(parents=True, exist_ok=True)
+    _make_out(args.out)
     (out / "script.scn").write_text(format_script(ast))
 
     try:
@@ -445,6 +477,10 @@ def cmd_pipeline(args) -> int:
         print(json.dumps({"error": str(e)}))
         return EXIT_DOMAIN
 
+    # `workers` processes render variations at once, each one rendering its
+    # frames on its share of the usable CPUs
+    workers = min(args.jobs, len(scenarios))
+    threads = max(1, usable_cpus() // workers)
     tasks = [
         {
             "index": index,
@@ -458,13 +494,14 @@ def cmd_pipeline(args) -> int:
             "dt": args.dt,
             "max_duration": args.max_duration,
             "out": str(out),
+            "threads": threads,
         }
         for index, scenario in enumerate(scenarios)
     ]
-    if args.jobs == 1 or len(tasks) == 1:
+    if workers == 1:
         rows = [_run_variation(t) for t in tasks]
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_variation, tasks))
     rows.sort(key=lambda r: r["index"])
 

@@ -131,7 +131,8 @@ def _write_hashed(path: Path, header: bytes, payload: bytes | memoryview = b"") 
     return digest.hexdigest()
 
 
-def _usable_cpus() -> int:
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, which `taskset` sets)."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -143,7 +144,7 @@ def _map_chunks(work, items: list) -> list:
     threads (hashlib and file I/O release the GIL), results concatenated in
     `items` order; inline when there is one chunk.  One task per file instead
     would cost more in dispatch than small files take to hash."""
-    count = min(_usable_cpus(), len(items))
+    count = min(usable_cpus(), len(items))
     if count <= 1:
         return work(items)
     bounds = [len(items) * k // count for k in range(count + 1)]
@@ -180,7 +181,7 @@ def verify_bundle(bundle_dir: str | Path) -> list[str]:
 
 
 def _scan(root: Path) -> dict[str, bool]:
-    """Every entry under `root` that is not a directory, bar any named
+    """Every entry under `root` that is not a directory, bar the root
     manifest.json, as its relative POSIX path -> whether it is a regular
     file (a symlink is not).  The types come with the directory listing, so
     this stats nothing but symlinks; symlinked directories are not entered
@@ -195,7 +196,7 @@ def _scan(root: Path) -> dict[str, bool]:
                     if entry.is_dir():
                         if not entry.is_symlink():
                             pending.append(f"{prefix}{entry.name}/")
-                    elif entry.name != "manifest.json":
+                    elif prefix or entry.name != "manifest.json":
                         found[prefix + entry.name] = entry.is_file(follow_symlinks=False)
         except OSError:
             continue

@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -826,11 +827,204 @@ def test_pipeline_summary_identical_across_job_counts(tmp_path, variation_script
     ).read_bytes()
 
 
+def _tree(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_pipeline_output_does_not_depend_on_the_frame_thread_count(
+    tmp_path, variation_script, monkeypatch
+):
+    trees = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, to shake out races
+    try:
+        for cpus in (1, 2, 3, 8):  # 8: more threads than the host has cores
+            monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+            out = tmp_path / f"cpus{cpus}"
+            argv = _pipeline_args(tmp_path, variation_script, out, ["-n", "2", "--jobs", "1"])
+            assert main(argv) == 0
+            trees.append(_tree(out))
+    finally:
+        sys.setswitchinterval(interval)
+    assert trees[0] == trees[1] == trees[2] == trees[3]
+    assert "var-001/manifest.json" in trees[0] and "summary.json" in trees[0]
+
+
+def test_bundle_output_does_not_depend_on_the_frame_thread_count(tmp_path, short_trace, monkeypatch):
+    camera = _small_camera(tmp_path, center=(30.0, 0.0))
+    trees = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        argv = ["bundle", str(short_trace), "--map", "straight", "--camera", camera, "--steps", "3"]
+        assert main([*argv, "-o", str(out)]) == 0
+        trees.append(_tree(out))
+    assert trees[0] == trees[1]
+
+
+def _failing_frames(monkeypatch, delays):
+    """Make the backend raise on the frames named in `delays`, each after
+    sleeping its delay; returns the list of frame indices started."""
+    started = []
+    run_diffusion = cli.run_diffusion
+
+    def diffuse(backend, control, prompt, steps, strength, seed):
+        index = seed % 1_000_003  # the latent seed is seed * 1_000_003 + index
+        started.append(index)
+        if index in delays:
+
+            class Broken(cli.MockDenoiser):
+                def denoise(self, *args):
+                    time.sleep(delays[index])
+                    raise RuntimeError(f"frame {index} broke")
+
+            backend = Broken()
+        return run_diffusion(backend, control, prompt, steps, strength, seed=seed)
+
+    monkeypatch.setattr(cli, "run_diffusion", diffuse)
+    return started
+
+
+def test_pipeline_frame_failure_under_threads_reports_the_serial_error(
+    tmp_path, variation_script, monkeypatch
+):
+    # frame 5 fails first in time, frame 2 first in frame order
+    started = _failing_frames(monkeypatch, {2: 0.3, 5: 0.0})
+    rows, runs = [], []
+    for cpus in (1, 3):
+        monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        argv = _pipeline_args(tmp_path, variation_script, out, ["-n", "1", "--jobs", "1"])
+        assert main(argv) == 1
+        [row] = json.loads((out / "summary.json").read_text())["variations"]
+        rows.append(row)
+        runs.append(sorted(started))
+        started.clear()
+        assert not (out / "var-000").exists()
+    assert rows[0] == rows[1]
+    assert rows[0]["error"] == "denoiser backend failed at step t=5: frame 2 broke"
+    assert rows[0]["bundle"] is None and not rows[0]["passed"]
+    assert runs[0] == [0, 1, 2]
+    assert 5 in runs[1]  # the later frame did fail, and fail first
+
+
+def test_pipeline_frame_failure_cancels_the_frames_not_started(
+    tmp_path, variation_script, monkeypatch
+):
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+    argv = ["-n", "1", "--jobs", "1", "--steps", "1"]
+    assert main(_pipeline_args(tmp_path, variation_script, tmp_path / "ok", argv)) == 0
+    frames = len(json.loads((tmp_path / "ok" / "var-000" / "trace.json").read_text())["frames"])
+    started = _failing_frames(monkeypatch, {0: 0.0})
+    run_diffusion = cli.run_diffusion
+
+    def slow(*args, **kwargs):
+        time.sleep(0.05)
+        return run_diffusion(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_diffusion", slow)
+    assert main(_pipeline_args(tmp_path, variation_script, tmp_path / "failed", argv)) == 1
+    assert frames >= 20
+    assert 0 in started and len(started) < frames // 2
+
+
+def test_pipeline_backend_calls_are_steps_times_frames_on_threads(
+    tmp_path, variation_script, monkeypatch
+):
+    calls = []
+
+    class Counting(cli.MockDenoiser):
+        def denoise(self, *args, **kwargs):
+            calls.append(1)  # list.append is atomic, so the count is thread-safe
+            return super().denoise(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "MockDenoiser", Counting)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 3)
+    out = tmp_path / "out"
+    assert main(_pipeline_args(tmp_path, variation_script, out, ["-n", "2", "--jobs", "1"])) == 0
+    frames = sum(
+        len(json.loads((out / f"var-{i:03d}" / "trace.json").read_text())["frames"]) for i in range(2)
+    )
+    assert len(calls) == 5 * frames
+
+
+class _RecordingPool:
+    """A ProcessPoolExecutor stand-in that records its size and runs the
+    tasks in this process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize(
+    "jobs,n,cpus,workers,threads",
+    [
+        ("1", "2", 4, None, 4),  # in-process: the frames get every CPU
+        ("2", "3", 4, 2, 2),
+        ("3", "2", 4, 2, 2),  # no more processes than variations
+        ("200", "2", 2, 2, 1),
+        ("4", "4", 2, 4, 1),  # at least one thread
+    ],
+)
+def test_pipeline_sizes_the_pool_and_the_frame_threads(
+    tmp_path, variation_script, monkeypatch, jobs, n, cpus, workers, threads
+):
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(
+        cli, "concurrent", types.SimpleNamespace(futures=types.SimpleNamespace(ProcessPoolExecutor=_RecordingPool))
+    )
+    monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+    seen = []
+    run_variation = cli._run_variation
+    monkeypatch.setattr(cli, "_run_variation", lambda task: seen.append(task["threads"]) or run_variation(task))
+    argv = _pipeline_args(tmp_path, variation_script, tmp_path / "out", ["-n", n, "--jobs", jobs, "--steps", "1"])
+    assert main(argv) == 0
+    assert _RecordingPool.sizes == ([] if workers is None else [workers])
+    assert seen == [threads] * int(n)
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_pipeline_rejects_jobs_below_one(tmp_path, variation_script, capsys, jobs):
     code = main(_pipeline_args(tmp_path, variation_script, tmp_path / "out", ["--jobs", jobs]))
     assert code == 2
     assert "--jobs must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gen", "sim", "render", "bundle", "pipeline"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "under-file"])
+def test_output_that_cannot_be_created_is_env_failure(
+    tmp_path, short_trace, variation_script, capsys, command, below
+):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file")
+    out = blocker / "sub" if below else blocker
+    camera = ["--camera", _small_camera(tmp_path, center=(30.0, 0.0))]
+    with StubLLMServer([GOOD_RESPONSE]) as stub:
+        argv = {
+            "gen": ["gen", "--base-url", stub.base_url, "--model", "m", "--type", "vehicle-cut-in"],
+            "sim": ["sim", str(variation_script), "--map", "straight", "--max-duration", "1"],
+            "render": ["render", str(short_trace), "--map", "straight", *camera],
+            "bundle": ["bundle", str(short_trace), "--map", "straight", *camera, "--steps", "1"],
+            "pipeline": _pipeline_args(tmp_path, variation_script, out, ["-n", "1"])[:-2],
+        }[command]
+        capsys.readouterr()
+        assert main([*argv, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot create output directory {str(out)!r}: ")
+    assert err.count("\n") == 1  # one line, no traceback
+    assert blocker.read_text() == "a regular file"
+
 
 @pytest.mark.parametrize("flags,name", BAD_DIFFUSION_FLAGS)
 def test_pipeline_rejects_bad_diffusion_flags(tmp_path, variation_script, capsys, flags, name):

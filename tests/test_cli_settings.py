@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from scenekit.cli import MAX_DENOISE_STEPS, MAX_VARIATIONS, SETTINGS, build_parser, main
+from scenekit.cli import MAX_DENOISE_STEPS, MAX_JOBS, MAX_VARIATIONS, SETTINGS, build_parser, main
 from scenekit.promptgen.stubserver import StubLLMServer
 
 FIXTURES = Path(__file__).parent / "data" / "fixtures"
@@ -89,8 +89,8 @@ def _refused(key: str, value) -> bool:
     if value == 0:
         return key in ("examples", "variations", "steps", "dt", "max_duration", "jobs")
     # 10**18: above 1, or past a cap of 10,000 variations, 10,000 denoising
-    # steps or 100,000 simulator steps; so --jobs is never drawn positive
-    return key in ("strength", "max_duration", "variations", "steps")
+    # steps, 100,000 simulator steps or 256 worker processes
+    return key in ("strength", "max_duration", "variations", "steps", "jobs")
 
 
 def _tree(root: Path) -> list[str]:
@@ -234,6 +234,19 @@ def test_pipeline_caps_variations_and_steps(tmp_path, inputs, capsys, flag, cap)
     assert main([*argv, flag, str(cap), "-o", str(tmp_path / "at")]) == 1
     assert main([*argv, flag, str(cap + 1), "-o", str(tmp_path / "above")]) == 2
     assert f"must be at least 1 and at most {cap}, got {cap + 1}" in capsys.readouterr().err
+    assert not (tmp_path / "above").exists()
+
+
+def test_pipeline_caps_jobs(tmp_path, inputs, capsys):
+    assert MAX_JOBS == 256
+    assert SETTINGS["jobs"][1] <= MAX_JOBS  # the default is in range on any host
+    script = tmp_path / "fixed.scn"
+    script.write_text("ego = new Car on lane main_a at 5.0 with speed 3.0\n")
+    argv = ["pipeline", "--script", str(script), "--map", "straight", "--camera", inputs["camera"], "-n", "2"]
+    # at the cap the settings pass and sampling fails (exit 1) before any pool starts
+    assert main([*argv, "--jobs", str(MAX_JOBS), "-o", str(tmp_path / "at")]) == 1
+    assert main([*argv, "--jobs", str(MAX_JOBS + 1), "-o", str(tmp_path / "above")]) == 2
+    assert f"--jobs must be at least 1 and at most {MAX_JOBS}, got {MAX_JOBS + 1}" in capsys.readouterr().err
     assert not (tmp_path / "above").exists()
 
 

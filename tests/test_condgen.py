@@ -331,6 +331,13 @@ def test_verify_detects_tamper_missing_and_stray(tmp_path):
     assert any("unlisted file" in p for p in problems)
 
 
+def test_verify_exempts_only_the_root_manifest(tmp_path):
+    root = tmp_path / "b"
+    export_bundle([_frame(0)], "p", CONFIG, root)
+    (root / "frames" / "000000" / "manifest.json").write_text("{}")
+    assert verify_bundle(root) == ["unlisted file: frames/000000/manifest.json"]
+
+
 def test_shorter_reexport_leaves_stale_frames_unlisted(tmp_path):
     root = tmp_path / "b"
     export_bundle([_frame(i) for i in range(3)], "p", CONFIG, root)
@@ -446,7 +453,7 @@ def test_export_and_verify_do_not_depend_on_the_thread_count(tmp_path, monkeypat
     frames = [_frame(i, shape=(9, 7)) for i in range(8)]
     trees, reports = [], []
     for threads in (1, 2, 3):
-        monkeypatch.setattr(bundle, "_usable_cpus", lambda: threads)
+        monkeypatch.setattr(bundle, "usable_cpus", lambda: threads)
         root = tmp_path / f"t{threads}"
         manifest = export_bundle(frames, "p", CONFIG, root, trace=_TRACE)
         assert list(manifest["files"])[:3] == ["prompt.txt", "config.json", "trace.json"]
@@ -495,7 +502,7 @@ def _verify_with_timeout(root: Path, fifo: Path, seconds: float = 10.0) -> list[
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
 @pytest.mark.parametrize("threads", [1, 3])
 def test_verify_reports_every_kind_of_problem_in_order(tmp_path, monkeypatch, threads):
-    monkeypatch.setattr(bundle, "_usable_cpus", lambda: threads)
+    monkeypatch.setattr(bundle, "usable_cpus", lambda: threads)
     root = tmp_path / "b"
     export_bundle([_frame(i) for i in range(2)], "p", CONFIG, root)
     manifest = json.loads((root / "manifest.json").read_text())

@@ -29,6 +29,7 @@ from scenekit.dsl import compile_script
 from scenekit.dsl.diagnostics import has_errors
 from scenekit.dsl.formatter import format_script
 from scenekit.dsl.sampler import SampleError, VariationError, sample_parameters, sample_variations
+from scenekit.jsonio import read_json
 from scenekit.promptgen.client import ApiError, EmptyResponseError, EndpointConfig, TransportError
 from scenekit.promptgen.generate import GenerationRequest, generate_scenario
 from scenekit.promptgen.library import LibraryError, builtin_library, load_library
@@ -92,7 +93,7 @@ SETTINGS = {
     "max_duration": (float, 30.0, (lambda v, s: 0 < v < math.inf and v / s.dt <= MAX_STEPS,
                                    f"finite, above 0 and at most {MAX_STEPS} steps of --dt"),
                      "simulated horizon in seconds"),
-    "jobs": (int, min(os.cpu_count() or 1, MAX_JOBS), _from_1_to(MAX_JOBS),
+    "jobs": (int, min(usable_cpus(), MAX_JOBS), _from_1_to(MAX_JOBS),
              "worker processes, one variation each at a time"),
 }
 
@@ -117,7 +118,11 @@ def _resolve(args) -> None:
             if isinstance(found, bool) or not isinstance(found, accepted):
                 raise CliError(f"config key {key!r} must be {kind.__name__}, got {found!r}")
             if value is None:
-                name, value = f"config key {key!r}", kind(found)
+                name = f"config key {key!r}"
+                try:
+                    value = kind(found)
+                except OverflowError:  # an int past the float range reads as inf, like 1e400
+                    value = math.inf
         value = default if value is None else value
         if rule is not None and value is not None and not rule[0](value, args):
             raise CliError(f"{name} must be {rule[1]}, got {value!r}")
@@ -140,28 +145,22 @@ def _load_camera(spec: str | None, world: WorldMap) -> Camera:
         center = (anchor.x, anchor.y) if anchor is not None else (0.0, 0.0)
         return default_camera(center)
     try:
-        data = json.loads(Path(spec).read_text())
-        return camera_from_dict(data)
-    except OSError as e:
-        raise CliError(f"cannot read camera file {spec!r}: {e}") from e
-    except (ValueError, RecursionError, CameraError) as e:  # bad UTF-8 or JSON, a huge int, deep nesting
+        return camera_from_dict(read_json(spec, CameraError, ""))
+    except CameraError as e:
         raise CliError(f"bad camera config {spec!r}: {e}") from e
 
 
 def _load_weight_spec(spec: str) -> dict[str, float]:
     try:
         return load_weights(spec)
-    except (OSError, ValueError) as e:
+    except ValueError as e:
         raise CliError(f"bad weights {spec!r}: {e}") from e
 
 
 def _read_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, ValueError, RecursionError) as e:  # bad UTF-8 or JSON, a huge int, deep nesting
-        raise CliError(f"cannot read config file {path!r}: {e}") from e
+    data = read_json(path, CliError, f"cannot read config file {path!r}: ")
     if not isinstance(data, dict):
         raise CliError(f"config file {path!r} must hold a JSON object")
     return data
@@ -192,7 +191,7 @@ def _generate(args, **request):
 def _read_script(path: str) -> str:
     try:
         return Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: not UTF-8, or a NUL in the name
         raise CliError(f"cannot read script {path!r}: {e}") from e
 
 
@@ -253,13 +252,9 @@ def cmd_sim(args) -> int:
         scenario = sample_parameters(ast, seed=args.seed)
         config = SimConfig(args.dt, args.max_duration, not args.no_collision_stop)
         trace = run(scenario, world, config)
-    except (SampleError, PlacementError) as e:
-        print(json.dumps({"error": str(e)}))
-        return EXIT_DOMAIN
-    results = check_requirements(trace, scenario)
-    try:
+        results = check_requirements(trace, scenario)
         trace_json = trace_json_bytes(trace)
-    except TraceError as e:
+    except (SampleError, PlacementError, TraceError) as e:
         print(json.dumps({"error": str(e)}))
         return EXIT_DOMAIN
     (_make_out(args.out) / "trace.json").write_bytes(trace_json)
@@ -285,7 +280,7 @@ def _render_inputs(args):
     """Trace, world, camera and weights named by render/bundle flags."""
     try:
         trace = read_trace_json(args.trace)
-    except (OSError, ValueError) as e:
+    except TraceError as e:
         raise CliError(f"cannot read trace {args.trace!r}: {e}") from e
     world = _load_world(args.map)
     camera = _load_camera(args.camera, world)
@@ -524,10 +519,7 @@ def cmd_pipeline(args) -> int:
 
 def cmd_stub_llm(args) -> int:
     if args.responses is not None:
-        try:
-            responses = json.loads(Path(args.responses).read_text())
-        except (OSError, ValueError, RecursionError) as e:  # bad UTF-8 or JSON, a huge int, deep nesting
-            raise CliError(f"cannot read responses file: {e}") from e
+        responses = read_json(args.responses, CliError, "cannot read responses file: ")
         if not isinstance(responses, list) or not responses:
             raise CliError("responses file must hold a non-empty JSON list")
     else:

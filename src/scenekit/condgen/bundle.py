@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from scenekit.jsonio import read_json
 from scenekit.render.formats import encode_pfm, encode_pgm
 from scenekit.sim.engine import Trace
 from scenekit.sim.traceio import trace_json_bytes
@@ -165,12 +166,10 @@ def verify_bundle(bundle_dir: str | Path) -> list[str]:
     """
     root = Path(bundle_dir)
     try:
-        manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
-        listed: dict[str, str] = manifest["files"]
-    except FileNotFoundError:
-        return [f"no manifest.json in {root}"]
-    except (OSError, ValueError, RecursionError, KeyError, TypeError) as e:  # bad UTF-8 or JSON
-        return [f"unreadable manifest in {root}: {e}"]
+        manifest = read_json(root / "manifest.json", ValueError, f"unreadable manifest in {root}: ")
+    except ValueError as e:
+        return [str(e)]
+    listed = manifest.get("files") if isinstance(manifest, dict) else None
     if not isinstance(listed, dict):
         return [f"unreadable manifest in {root}: 'files' is not an object"]
 

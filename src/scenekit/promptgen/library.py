@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from scenekit.dsl import ScenarioAst, compile_script
 from scenekit.dsl.diagnostics import only_errors
+from scenekit.jsonio import read_json
 from scenekit.promptgen.template import ScenarioType
 
 
@@ -49,12 +49,7 @@ def load_library(path: Path | str) -> ExampleLibrary:
     """
     root = Path(path)
     index_path = root / "index.json"
-    try:
-        index = json.loads(index_path.read_text())
-    except FileNotFoundError:
-        raise LibraryError(f"no index.json in {root}") from None
-    except (OSError, ValueError, RecursionError) as e:  # bad UTF-8 or JSON, or deep nesting
-        raise LibraryError(f"malformed index.json in {root}: {e}") from None
+    index = read_json(index_path, LibraryError, f"malformed index.json in {root}: ")
 
     raw_entries = index.get("entries") if isinstance(index, dict) else None
     if not isinstance(raw_entries, list):
@@ -80,8 +75,6 @@ def load_library(path: Path | str) -> ExampleLibrary:
         script_path = root / raw["file"]
         try:
             text = script_path.read_text()
-        except FileNotFoundError:
-            raise LibraryError(f"entry {raw['id']!r}: missing script file {script_path}") from None
         except (OSError, ValueError) as e:  # ValueError: not UTF-8, or a NUL in the name
             raise LibraryError(f"entry {raw['id']!r}: cannot read {script_path}: {e}") from None
         ast, diags = compile_script(text)

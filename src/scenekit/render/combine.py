@@ -7,11 +7,11 @@ less than one and the output is intentionally not renormalized.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
+from scenekit.jsonio import read_json
 from scenekit.render.raster import PALETTE_SIZE
 
 MODALITIES = ("seg", "depth", "edge")
@@ -80,10 +80,7 @@ def load_weights(source: str | Path) -> dict[str, float]:
     if text in PRESETS:
         return dict(PRESETS[text])
     path = Path(source)
-    try:
-        data = json.loads(path.read_text())
-    except RecursionError:
-        raise ValueError(f"{path}: JSON nested too deeply") from None
+    data = read_json(path, ValueError, f"{path}: ")
     if not isinstance(data, dict):
         raise ValueError(f"{path}: expected an object of modality weights")
     weights: dict[str, float] = {}

@@ -158,7 +158,7 @@ def _prepare_pinhole(world: WorldMap, camera: PinholeCamera) -> StaticLayers:
     seg = np.full((camera.height, camera.width), int(SegClass.BACKGROUND), dtype=np.uint8)
     depth = np.full((camera.height, camera.width), camera.far_plane, dtype=np.float32)
     dz = dirs[..., 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a subnormal dz: inf
         t_ground = np.where(dz < 0.0, -origin[2] / dz, np.inf)
     near = (t_ground > 0.0) & (t_ground < camera.far_plane)
     if near.any():

@@ -11,6 +11,7 @@ import math
 from pathlib import Path
 
 from scenekit.dsl.nodes import AgentClass
+from scenekit.jsonio import read_json
 from scenekit.sim.classify import CollisionClass
 from scenekit.sim.engine import AgentState, CollisionEvent, Trace
 
@@ -87,6 +88,13 @@ def _number(value, where: str):
     raise TraceError(f"{where} must be a finite number, got {value!r}")
 
 
+def _typed(kind: type, value, where: str):
+    """`value` when it is a `kind` (an int that is a bool is not)."""
+    if isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    raise TraceError(f"{where} must be {kind.__name__}, got {value!r}")
+
+
 def _enum(enum_type, value, where: str):
     try:
         return enum_type(value)
@@ -101,7 +109,7 @@ def trace_from_dict(data) -> Trace:
         where = f"agents[{i}]"
         agents.append(
             (
-                _field(meta, "name", where),
+                _typed(str, _field(meta, "name", where), f"{where}.name"),
                 _enum(AgentClass, _field(meta, "class", where), where),
                 _number(_field(meta, "length", where), f"{where}.length"),
                 _number(_field(meta, "width", where), f"{where}.width"),
@@ -124,7 +132,7 @@ def trace_from_dict(data) -> Trace:
                     speed=_number(speed, f"{where} {name} speed"),
                     length=length,
                     width=width,
-                    behavior_state=behavior_state,
+                    behavior_state=_typed(str, behavior_state, f"{where} {name} behavior_state"),
                     active=bool(active),
                 )
             )
@@ -138,22 +146,22 @@ def trace_from_dict(data) -> Trace:
         faces = _items(_field(e, "faces", where), f"{where}.faces", 2)
         events.append(
             CollisionEvent(
-                time=_field(e, "time", where),
-                frame=_field(e, "frame", where),
-                agent_a=_field(e, "a", where),
-                agent_b=_field(e, "b", where),
-                impact=(impact[0], impact[1]),
-                rel_heading_deg=_field(e, "rel_heading_deg", where),
-                faces=(faces[0], faces[1]),
+                time=_number(_field(e, "time", where), f"{where}.time"),
+                frame=_typed(int, _field(e, "frame", where), f"{where}.frame"),
+                agent_a=_typed(str, _field(e, "a", where), f"{where}.a"),
+                agent_b=_typed(str, _field(e, "b", where), f"{where}.b"),
+                impact=tuple(_number(v, f"{where}.impact") for v in impact),
+                rel_heading_deg=_number(_field(e, "rel_heading_deg", where), f"{where}.rel_heading_deg"),
+                faces=tuple(_typed(str, v, f"{where}.faces") for v in faces),
                 classification=_enum(CollisionClass, _field(e, "classification", where), where),
             )
         )
     return Trace(
-        map_name=_field(data, "map", "trace"),
+        map_name=_typed(str, _field(data, "map", "trace"), "map"),
         dt=_number(_field(data, "dt", "trace"), "dt"),
         frames=frames,
         events=events,
-        termination=_field(data, "termination", "trace"),
+        termination=_typed(str, _field(data, "termination", "trace"), "termination"),
     )
 
 
@@ -177,9 +185,5 @@ def write_trace_json(trace: Trace, path: Path | str) -> None:
 
 
 def read_trace_json(path: Path | str) -> Trace:
-    """Read a `trace.json`; TraceError when it is not UTF-8 JSON or is malformed."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON, a huge int, deep nesting
-        raise TraceError(f"not a JSON trace: {e}") from None
-    return trace_from_dict(data)
+    """Read a `trace.json`; TraceError when it is unreadable, not JSON or malformed."""
+    return trace_from_dict(read_json(path, TraceError, "not a JSON trace: "))

@@ -7,10 +7,11 @@ at the first centerline point to the lane's total length.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from scenekit.jsonio import read_json
 
 
 class MapError(Exception):
@@ -110,7 +111,7 @@ def _number(value, where: str) -> float:
     """A finite float from a JSON field, or MapError naming the field."""
     try:
         number = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past the float range
         number = math.nan
     if not math.isfinite(number):
         raise MapError(f"{where}: expected a finite number, got {value!r}")
@@ -119,13 +120,7 @@ def _number(value, where: str) -> float:
 
 def load_map(path: Path | str) -> WorldMap:
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise MapError(f"map file not found: {path}") from None
-    except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON, a huge int, deep nesting
-        raise MapError(f"malformed map JSON in {path}: {e}") from None
-
+    raw = read_json(path, MapError, f"malformed map JSON in {path}: ")
     if not isinstance(raw, dict) or not isinstance(raw.get("lanes"), list):
         raise MapError(f"{path}: expected a 'lanes' list")
     lanes: dict[str, Lane] = {}

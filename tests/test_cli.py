@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -353,7 +354,7 @@ def test_sim_missing_map(tmp_path, capsys):
     assert "cannot load map" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("width", ['"wide"', "NaN"])
+@pytest.mark.parametrize("width", ['"wide"', "NaN", pytest.param("1" * 401, id="int-past-float-range")])
 def test_sim_rejects_bad_lane_width_as_env_failure(tmp_path, capsys, width):
     world = tmp_path / "bad.map.json"
     world.write_text(
@@ -583,7 +584,29 @@ BAD_TRACES = {
     "width_bool": (lambda t: _set(t, ("agents", 0, "width"), True), "agents[0].width"),
     "unknown_class": (lambda t: _set(t, ("agents", 0, "class"), "Tank"), "unknown AgentClass 'Tank'"),
     "no_frames": (lambda t: _set(t, ("frames",), []), "trace has no frames"),
+    "map_number": (lambda t: _set(t, ("map",), 5), "map must be str"),
+    "termination_nan": (lambda t: _set(t, ("termination",), math.nan), "termination must be str, got nan"),
+    "agent_name_null": (lambda t: _set(t, ("agents", 0, "name"), None), "agents[0].name must be str"),
+    "behavior_state_number": (lambda t: _set(t, ROW + (5,), 1), "frames[0] ego behavior_state must be str"),
+    "event_time_nan": (lambda t: _with_event(t, "time", math.nan), "events[0].time must be a finite number"),
+    "event_frame_float": (lambda t: _with_event(t, "frame", 1.5), "events[0].frame must be int"),
+    "event_frame_bool": (lambda t: _with_event(t, "frame", True), "events[0].frame must be int"),
+    "event_a_number": (lambda t: _with_event(t, "a", 3), "events[0].a must be str"),
+    "event_b_null": (lambda t: _with_event(t, "b", None), "events[0].b must be str"),
+    "event_impact_infinite": (lambda t: _with_event(t, "impact", [math.inf, 0.0]), "events[0].impact must be"),
+    "event_rel_heading_past_float_range": (
+        lambda t: _with_event(t, "rel_heading_deg", 10**400), "events[0].rel_heading_deg must be"
+    ),
+    "event_faces_null": (lambda t: _with_event(t, "faces", ["front", None]), "events[0].faces must be str"),
 }
+
+
+def _with_event(trace, key, value):
+    """`trace` with one well-formed collision event whose `key` is `value`."""
+    event = {"time": 0.05, "frame": 1, "a": "ego", "b": "ego", "impact": [30.0, 0.0],
+             "rel_heading_deg": 0.0, "faces": ["front", "rear"], "classification": "rear-end"}
+    trace["events"] = [{**event, key: value}]
+    return trace
 
 
 @pytest.mark.parametrize("case", sorted(BAD_TRACES))
@@ -598,7 +621,31 @@ def test_render_rejects_malformed_trace(tmp_path, short_trace, capsys, case):
     assert named in err
 
 
+def test_well_formed_event_passes_the_trace_checks(tmp_path, short_trace):
+    # the event the BAD_TRACES rows break one field of renders as it is
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(_with_event(json.loads(short_trace.read_text()), "time", 0.05)))
+    assert main(["render", str(good), "--map", "straight", "-o", str(tmp_path / "r")]) == 0
+
+
 # --- bundle -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("termination", [math.nan, 10**400], ids=["nan", "int-past-float-range"])
+def test_bundle_rejects_trace_field_json_cannot_carry(tmp_path, short_trace, capsys, termination):
+    # the export writes the trace back, so a value JSON cannot carry failed
+    # there, after the inputs had loaded, with a traceback
+    trace = json.loads(short_trace.read_text())
+    trace["termination"] = termination
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(trace))
+    out = tmp_path / "b"
+    code = main(["bundle", str(bad), "--map", "straight", "--steps", "1", "-o", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "cannot read trace" in err and "termination" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_bundle_build_and_verify(tmp_path, short_trace):
@@ -999,6 +1046,29 @@ def test_pipeline_rejects_jobs_below_one(tmp_path, variation_script, capsys, job
     code = main(_pipeline_args(tmp_path, variation_script, tmp_path / "out", ["--jobs", jobs]))
     assert code == 2
     assert "--jobs must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+def test_jobs_default_is_the_usable_cpu_count():
+    # under `taskset -c 0` the default is one worker, not one per CPU of the host
+    cpu = min(os.sched_getaffinity(0))
+    code = (
+        f"import os; os.sched_setaffinity(0, {{{cpu}}}); "
+        "from scenekit.cli import SETTINGS; print(SETTINGS['jobs'][1])"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "1"
+
+
+def test_pipeline_script_path_with_nul_is_env_failure(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"script": "a\u0000b", "map": "straight"}))
+    out = tmp_path / "o"
+    assert main(["pipeline", "--config", str(config), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot read script" in err and len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["gen", "sim", "render", "bundle", "pipeline"])

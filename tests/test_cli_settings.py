@@ -79,11 +79,15 @@ CASES = [
     for from_config in (False, True)
     if not from_config or (command in ("pipeline", "gen") and key != "jobs")
 ]
-ADVERSARIAL = [0, -1, math.nan, math.inf, -math.inf, 10**18]
+PAST_FLOAT_RANGE = 10**400  # a JSON integer no float holds; float(...) overflows
+ADVERSARIAL = [0, -1, math.nan, math.inf, -math.inf, 10**18, PAST_FLOAT_RANGE]
+FLOAT_KEYS = ("temperature", "strength", "dt", "max_duration")
 
 
 def _refused(key: str, value) -> bool:
     """Whether `value` is out of range for `key`, stated apart from the table."""
+    if value == PAST_FLOAT_RANGE:  # inf where a float is wanted, past every int cap
+        return key in FLOAT_KEYS + ("variations", "steps", "jobs")
     if value == -1 or math.isnan(value) or math.isinf(value):
         return True  # no numeric setting takes these (ints refuse NaN and inf by kind)
     if value == 0:
@@ -122,6 +126,22 @@ def test_rejected_setting_exits_2_and_writes_nothing(inputs, stub, case, value, 
         assert _tree(tmp) == before
     named = f"config key {key!r}" if from_config else f"--{key.replace('_', '-')}"
     assert named in err.getvalue()
+    assert not stub.requests
+
+
+@pytest.mark.parametrize(
+    "command,key", [("pipeline", key) for key in FLOAT_KEYS[1:]] + [("gen", "temperature")]
+)
+def test_config_float_past_the_float_range_names_the_key(inputs, stub, capsys, command, key):
+    positionals, flags = _base_flags(command, inputs, stub.base_url, 1)
+    flags.pop(key, None)
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps({key: PAST_FLOAT_RANGE}))
+        assert main(_argv(command, positionals, flags, Path(tmp) / "out", config)) == 2
+        assert not (Path(tmp) / "out").exists()
+    err = capsys.readouterr().err
+    assert f"config key {key!r}" in err and len(err.splitlines()) == 1
     assert not stub.requests
 
 

@@ -11,15 +11,21 @@ import math
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scenekit.jsonio import read_json
 from scenekit.promptgen.library import LibraryError, load_library
 from scenekit.render.cameras import MAX_IMAGE_SIDE, CameraError, camera_from_dict
 from scenekit.render.combine import load_weights
-from scenekit.sim.traceio import TraceError, read_trace_json
+from scenekit.sim.traceio import TraceError, read_trace_json, trace_json_bytes
+from scenekit.sim.worldmap import MapError, load_map
 
-LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+# integers past the float range: JSON parses them, float() overflows on them
+PAST_FLOAT_RANGE = st.integers(2**1024, 10**400) | st.integers(-(10**400), -(2**1024))
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+LEAVES = st.none() | st.booleans() | st.integers() | PAST_FLOAT_RANGE | st.floats() | NON_FINITE | st.text(max_size=8)
 JSON = st.recursive(
     LEAVES,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
@@ -58,6 +64,14 @@ GOOD_INDEX = {
     ]
 }
 GOOD_WEIGHTS = {"seg": 0.2, "depth": 0.3, "edge": 0.4}
+GOOD_MAP = {
+    "name": "m",
+    "lanes": [
+        {"id": "a", "width": 3.5, "centerline": [[0.0, 0.0], [50.0, 0.0]], "successors": ["b"]},
+        {"id": "b", "width": 3.0, "centerline": [[50.0, 0.0], [50.0, 40.0]]},
+    ],
+    "anchors": {"start": {"x": 0.0, "y": 0.0, "heading_deg": 90.0}},
+}
 GOOD_CAMERAS = [
     {"variant": "topdown", "center": [1.0, 2.0], "meters_per_pixel": 0.1, "width": 64, "height": 48,
      "ortho_height": 50.0, "far_plane": 100.0},
@@ -106,6 +120,7 @@ def test_well_formed_inputs_load():
         (Path(tmp) / "a.scn").write_text("ego = new Car at (0.0, 0.0)\n")
         _write(tmp, "index.json", GOOD_INDEX)
         assert [e.id for e in load_library(tmp).entries] == ["a"]
+        assert sorted(load_map(_write(tmp, "m.json", GOOD_MAP)).lanes) == ["a", "b"]
 
 
 @settings(max_examples=200, deadline=None)
@@ -113,8 +128,19 @@ def test_well_formed_inputs_load():
 def test_trace_loader_loads_or_raises_trace_error(value):
     with tempfile.TemporaryDirectory() as tmp:
         try:
-            read_trace_json(_write(tmp, "trace.json", value))
+            trace = read_trace_json(_write(tmp, "trace.json", value))
         except TraceError:
+            return
+    trace_json_bytes(trace)  # a trace that loads can be written back (bundle does)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_swapped(GOOD_MAP))
+def test_map_loader_loads_or_raises_map_error(value):
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            load_map(_write(tmp, "m.json", value))
+        except MapError:
             pass
 
 
@@ -153,3 +179,45 @@ def test_camera_loader_loads_or_raises_camera_error(value):
             assert type(field) is int and 1 <= field <= MAX_IMAGE_SIDE
         else:
             assert field is None or (type(field) is float and math.isfinite(field))
+
+
+# what read_json is given -> (file bytes, or None for no file at all)
+UNREADABLE = {
+    "missing": None,
+    "directory": "DIR",
+    "name-too-long": "LONG",
+    "nul-in-name": "NUL",
+    "not-utf8": b'{"a": "\xff\xfe"}',
+    "not-json": b"{",
+    "empty": b"",
+    "int-too-long-to-parse": b"1" * 5000,
+    "nested-too-deep": b"[" * 5000 + b"]" * 5000,
+}
+
+
+class _Refused(Exception):
+    pass
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_read_json_raises_only_the_callers_error(tmp_path, case):
+    content = UNREADABLE[case]
+    path = {"DIR": tmp_path, "LONG": tmp_path / ("a" * 5000), "NUL": tmp_path / "a\x00b"}.get(
+        content, tmp_path / "f.json"
+    )
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    with pytest.raises(_Refused) as caught:
+        read_json(path, _Refused, "cannot read f: ")
+    if case == "missing":
+        assert str(caught.value) == f"no f.json in {tmp_path}"
+    else:
+        assert str(caught.value).startswith("cannot read f: ")
+
+
+def test_read_json_leaves_non_finite_numbers_to_the_loader(tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text('[NaN, Infinity, -Infinity, 1e400, ' + "1" * 401 + "]")
+    nan, inf, minus_inf, overflowed, big = read_json(path, _Refused, "")
+    assert math.isnan(nan) and inf == overflowed == math.inf and minus_inf == -math.inf
+    assert big == int("1" * 401)

@@ -333,6 +333,14 @@ FULL_GRID = (slice(None), slice(None))
 LEVEL_CAMERA = PinholeCamera(x=0.0, y=0.0, z=1.2, focal_px=40.0, width=48, height=40)
 
 
+def test_pinhole_subnormal_pitch_gives_no_overflow_warning():
+    # a pitch of 2.2e-311 degrees leaves one pixel row a subnormal ray dz; the
+    # distance to the ground along it overflows to inf, as for a level ray
+    camera = PinholeCamera(0.0, 0.0, 1.0, 0.0, 2.225073858507e-311, 8.0, 24, 25, far_plane=30.0)
+    static = prepare_static(builtin_map("crossing"), camera)
+    assert np.all((static.depth > 0) & (static.depth <= np.float32(30.0)))
+
+
 def test_pinhole_camera_inside_box_uses_full_grid():
     # The car's box runs from 1.75 m behind the camera to 2.75 m ahead, and
     # the camera sits inside it at 1.2 m of its 1.5 m.

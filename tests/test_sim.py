@@ -402,6 +402,21 @@ def test_map_lane_id_and_successors_must_be_strings(tmp_path):
             load_map(path)
 
 
+@pytest.mark.parametrize(
+    "lane,anchor,named",
+    [
+        ({**_LANE, "width": 10**400}, {}, "lane 'a' width"),
+        ({**_LANE, "centerline": [[-(10**400), 0], [10, 0]]}, {}, "lane 'a' centerline"),
+        (_LANE, {"x": 0, "y": 0, "heading_deg": 10**400}, "anchor 'c' heading_deg"),
+    ],
+    ids=["width", "centerline-x", "anchor-heading"],
+)
+def test_map_int_past_the_float_range_is_map_error(tmp_path, lane, anchor, named):
+    path = _write_map(tmp_path, {"lanes": [lane], "anchors": {"c": anchor} if anchor else {}})
+    with pytest.raises(MapError, match=named):
+        load_map(path)
+
+
 def test_map_file_must_be_utf8(tmp_path):
     path = tmp_path / "m.map.json"
     path.write_bytes(b'{"name": "\xff\xfe", "lanes": []}')

@@ -52,8 +52,8 @@ _CLASSES = {c.value: c for c in AgentClass}
 class _Abort(Exception):
     """Carries the diagnostic for an unparseable line."""
 
-    def __init__(self, diag: Diagnostic):
-        self.diag = diag
+    def __init__(self, span: Span, message: str, code: str = "E_SYNTAX"):
+        self.diag = Diagnostic(Severity.ERROR, span, code, message)
 
 
 class _Cursor:
@@ -85,14 +85,7 @@ class _Cursor:
         return "end of line" if tok is None else repr(tok.text)
 
     def fail(self, expected: str) -> "_Abort":
-        return _Abort(
-            Diagnostic(
-                Severity.ERROR,
-                self._here(),
-                "E_SYNTAX",
-                f"expected {expected}, found {self._found()}",
-            )
-        )
+        return _Abort(self._here(), f"expected {expected}, found {self._found()}")
 
     def accept_word(self, *texts: str) -> Token | None:
         tok = self.peek()
@@ -117,14 +110,7 @@ class _Cursor:
         if tok is None or tok.kind is not TokenKind.WORD:
             raise self.fail(what)
         if tok.text in RESERVED:
-            raise _Abort(
-                Diagnostic(
-                    Severity.ERROR,
-                    tok.span,
-                    "E_SYNTAX",
-                    f"{tok.text!r} is a reserved word and cannot be used as {what}",
-                )
-            )
+            raise _Abort(tok.span, f"{tok.text!r} is a reserved word and cannot be used as {what}")
         return self.take()
 
     def expect_end(self) -> None:
@@ -168,14 +154,7 @@ def parse(tokens: list[Token]) -> tuple[ScenarioAst | None, list[Diagnostic]]:
                 body: _Cursor | None = None
                 if _header_only(cur.tokens):
                     if idx >= len(lines):
-                        raise _Abort(
-                            Diagnostic(
-                                Severity.ERROR,
-                                head.span,
-                                "E_SYNTAX",
-                                "behavior definition has no body",
-                            )
-                        )
+                        raise _Abort(head.span, "behavior definition has no body")
                     body = _Cursor(lines[idx])
                     idx += 1
                 behaviors.append(_parse_behavior(cur, body))
@@ -184,14 +163,7 @@ def parse(tokens: list[Token]) -> tuple[ScenarioAst | None, list[Diagnostic]]:
             elif head.text == "terminate":
                 trig, span = _parse_terminate(cur)
                 if termination is not None:
-                    raise _Abort(
-                        Diagnostic(
-                            Severity.ERROR,
-                            span,
-                            "E_SYNTAX",
-                            "script already has a terminate statement",
-                        )
-                    )
+                    raise _Abort(span, "script already has a terminate statement")
                 termination, termination_span = trig, span
             else:
                 objects.append(_parse_object(cur))
@@ -243,7 +215,7 @@ def _parse_param(cur: _Cursor) -> ParamDecl:
     kw = cur.expect_word("param")
     name = cur.expect_ident("a parameter name")
     cur.expect_kind(TokenKind.EQUALS, "'='")
-    value = _parse_distribution(cur)
+    value = _parse_scalar(cur, "a number, Range(lo, hi), or Choice[...]", refs=False)
     cur.expect_end()
     return ParamDecl(name.text, value, span=_stmt_span(kw, name))
 
@@ -274,12 +246,8 @@ def _parse_object(cur: _Cursor) -> ObjectDecl:
     klass = _CLASSES.get(cls_tok.text)
     if klass is None:
         raise _Abort(
-            Diagnostic(
-                Severity.ERROR,
-                cls_tok.span,
-                "E_SYNTAX",
-                f"unknown agent class {cls_tok.text!r}; expected Car, Truck, Pedestrian, or Bicycle",
-            )
+            cls_tok.span,
+            f"unknown agent class {cls_tok.text!r}; expected Car, Truck, Pedestrian, or Bicycle",
         )
     spatial = _parse_spatial(cur)
 
@@ -292,14 +260,7 @@ def _parse_object(cur: _Cursor) -> ObjectDecl:
         if clause is None or clause.kind is not TokenKind.WORD:
             raise cur.fail("'speed', 'dims', or 'behavior'")
         if clause.text in seen:
-            raise _Abort(
-                Diagnostic(
-                    Severity.ERROR,
-                    clause.span,
-                    "E_SYNTAX",
-                    f"duplicate 'with {clause.text}' clause",
-                )
-            )
+            raise _Abort(clause.span, f"duplicate 'with {clause.text}' clause")
         seen.add(clause.text)
         if cur.accept_word("speed"):
             init_speed = _parse_scalar(cur, "a speed value")
@@ -362,10 +323,10 @@ def _parse_action(cur: _Cursor) -> Action:
     if cur.accept_word("follow"):
         cur.expect_word("lane")
         cur.expect_word("at")
-        return Action(ActionKind.FOLLOW_LANE, (_parse_body_scalar(cur, "a target speed"),))
+        return Action(ActionKind.FOLLOW_LANE, (_parse_scalar(cur, "a target speed", draws=False),))
     if cur.accept_word("brake"):
         cur.expect_word("at")
-        return Action(ActionKind.BRAKE, (_parse_body_scalar(cur, "a deceleration rate"),))
+        return Action(ActionKind.BRAKE, (_parse_scalar(cur, "a deceleration rate", draws=False),))
     if cur.accept_word("cross"):
         direction = cur.accept_word("left", "right", "forward")
         if direction is None:
@@ -373,7 +334,7 @@ def _parse_action(cur: _Cursor) -> Action:
         cur.expect_word("at")
         return Action(
             ActionKind.CROSS,
-            (_parse_body_scalar(cur, "a crossing speed"),),
+            (_parse_scalar(cur, "a crossing speed", draws=False),),
             direction=direction.text,
         )
     if cur.accept_word("cut"):
@@ -384,7 +345,7 @@ def _parse_action(cur: _Cursor) -> Action:
         cur.expect_word("at")
         return Action(
             ActionKind.CUT_IN,
-            (_parse_body_scalar(cur, "a lateral rate"),),
+            (_parse_scalar(cur, "a lateral rate", draws=False),),
             direction=direction.text,
         )
     if cur.accept_word("idle"):
@@ -405,10 +366,10 @@ def _parse_trigger(
         cur.expect_word("to")
         cur.expect_word("ego")
         cur.expect_word("below")
-        return DistanceToEgoBelow(_parse_body_scalar(cur, "a distance threshold"), obj)
+        return DistanceToEgoBelow(_parse_scalar(cur, "a distance threshold", draws=False), obj)
     if cur.accept_word("time"):
         cur.expect_word("above")
-        return TimeElapsed(_parse_body_scalar(cur, "a time threshold"))
+        return TimeElapsed(_parse_scalar(cur, "a time threshold", draws=False))
     if cur.accept_word("always"):
         return None
     raise cur.fail(expected)
@@ -428,7 +389,7 @@ def _parse_require(cur: _Cursor) -> Requirement:
     if cur.accept_word("ego"):
         cur.expect_word("speed")
         cur.expect_word("above")
-        speed = _parse_body_scalar(cur, "a speed threshold")
+        speed = _parse_scalar(cur, "a speed threshold", draws=False)
         cur.expect_word("at")
         cur.expect_word("collision")
         cur.expect_end()
@@ -452,51 +413,26 @@ def _parse_terminate(cur: _Cursor) -> tuple[Trigger, Span]:
 # scalar parsers
 
 
-def _parse_distribution(cur: _Cursor) -> Distribution:
+def _parse_scalar(cur: _Cursor, what: str, refs: bool = True, draws: bool = True) -> Scalar:
+    """A literal, a param reference (when `refs`) or a Range/Choice (when `draws`).
+
+    A param's right-hand side takes no references.  Behavior bodies, triggers
+    and requirements take no draws: randomness lives only at declaration sites
+    so every variation resolves each site exactly once.
+    """
     tok = cur.peek()
     if tok is not None and tok.kind is TokenKind.NUMBER:
         return Constant(cur.take().value)
-    if tok is not None and tok.kind is TokenKind.WORD and tok.text in ("Range", "Choice"):
-        return _parse_range_or_choice(cur)
-    raise cur.fail("a number, Range(lo, hi), or Choice[...]")
-
-
-def _parse_scalar(cur: _Cursor, what: str) -> Scalar:
-    """Scalar at a declaration site: literal, parameter reference, or distribution."""
-    tok = cur.peek()
-    if tok is None:
-        raise cur.fail(what)
-    if tok.kind is TokenKind.NUMBER:
-        return Constant(cur.take().value)
-    if tok.kind is TokenKind.WORD and tok.text in ("Range", "Choice"):
-        return _parse_range_or_choice(cur)
-    if tok.kind is TokenKind.WORD and tok.text not in RESERVED:
-        return ParamRef(cur.take().text)
-    raise cur.fail(what)
-
-
-def _parse_body_scalar(cur: _Cursor, what: str) -> Scalar:
-    """Scalar inside behavior bodies, triggers, and requirements.
-
-    Distributions are not allowed here; randomness lives only at declaration
-    sites so every variation resolves each site exactly once.
-    """
-    tok = cur.peek()
-    if tok is None:
-        raise cur.fail(what)
-    if tok.kind is TokenKind.NUMBER:
-        return Constant(cur.take().value)
-    if tok.kind is TokenKind.WORD and tok.text in ("Range", "Choice"):
-        raise _Abort(
-            Diagnostic(
-                Severity.ERROR,
-                tok.span,
-                "E_SYNTAX",
-                f"distributions are not allowed here; bind {tok.text} to a param instead",
-            )
-        )
-    if tok.kind is TokenKind.WORD and tok.text not in RESERVED:
-        return ParamRef(cur.take().text)
+    if tok is not None and tok.kind is TokenKind.WORD:
+        if tok.text in ("Range", "Choice"):
+            if not draws:
+                raise _Abort(
+                    tok.span,
+                    f"distributions are not allowed here; bind {tok.text} to a param instead",
+                )
+            return _parse_range_or_choice(cur)
+        if refs and tok.text not in RESERVED:
+            return ParamRef(cur.take().text)
     raise cur.fail(what)
 
 
@@ -509,12 +445,9 @@ def _parse_range_or_choice(cur: _Cursor) -> Distribution:
         close = cur.expect_kind(TokenKind.RPAREN, "')'")
         if not lo.value < hi.value:
             raise _Abort(
-                Diagnostic(
-                    Severity.ERROR,
-                    Span(head.span.line, head.span.col, close.span.end_line, close.span.end_col),
-                    "E_EMPTY_RANGE",
-                    f"Range requires lo < hi, got ({lo.text}, {hi.text})",
-                )
+                _stmt_span(head, close),
+                f"Range requires lo < hi, got ({lo.text}, {hi.text})",
+                "E_EMPTY_RANGE",
             )
         return Range(lo.value, hi.value)
     cur.expect_kind(TokenKind.LBRACKET, "'['")
@@ -524,12 +457,7 @@ def _parse_range_or_choice(cur: _Cursor) -> Distribution:
     close = cur.expect_kind(TokenKind.RBRACKET, "']'")
     if not values:
         raise _Abort(
-            Diagnostic(
-                Severity.ERROR,
-                Span(head.span.line, head.span.col, close.span.end_line, close.span.end_col),
-                "E_EMPTY_CHOICE",
-                "Choice requires at least one value",
-            )
+            _stmt_span(head, close), "Choice requires at least one value", "E_EMPTY_CHOICE"
         )
     return Choice(tuple(values))
 
@@ -545,37 +473,15 @@ def _check_structure(
     diags: list[Diagnostic],
     had_bad_lines: bool,
 ) -> None:
-    seen_params: set[str] = set()
-    for p in params:
-        if p.name in seen_params:
-            diags.append(
-                Diagnostic(Severity.ERROR, p.span, "E_DUP_PARAM", f"duplicate param {p.name!r}")
-            )
-        seen_params.add(p.name)
+    for decls, kind in ((params, "param"), (behaviors, "behavior"), (objects, "object")):
+        seen: set[str] = set()
+        for decl in decls:
+            if decl.name in seen:
+                code, message = f"E_DUP_{kind.upper()}", f"duplicate {kind} {decl.name!r}"
+                diags.append(Diagnostic(Severity.ERROR, decl.span, code, message))
+            seen.add(decl.name)
 
-    seen_behaviors: set[str] = set()
-    for b in behaviors:
-        if b.name in seen_behaviors:
-            diags.append(
-                Diagnostic(
-                    Severity.ERROR, b.span, "E_DUP_BEHAVIOR", f"duplicate behavior {b.name!r}"
-                )
-            )
-        seen_behaviors.add(b.name)
-
-    seen_objects: set[str] = set()
-    ego: ObjectDecl | None = None
-    for obj in objects:
-        if obj.name in seen_objects:
-            diags.append(
-                Diagnostic(
-                    Severity.ERROR, obj.span, "E_DUP_OBJECT", f"duplicate object {obj.name!r}"
-                )
-            )
-        seen_objects.add(obj.name)
-        if obj.name == "ego" and ego is None:
-            ego = obj
-
+    ego = next((obj for obj in objects if obj.name == "ego"), None)
     if ego is None:
         # A malformed line may be the ego declaration, so stay quiet then.
         if not had_bad_lines:

@@ -10,6 +10,7 @@ does not shift the values drawn for everything after it.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -130,7 +131,7 @@ def sample_parameters(ast: ScenarioAst, seed: int) -> ConcreteScenario:
     rng = random.Random(seed)
     params: dict[str, float] = {}
     for p in ast.params:
-        params[p.name] = _draw(p.value, rng, params)
+        params[p.name] = _value(p.value, params, rng)
 
     behaviors = {b.name: b for b in ast.behaviors}
     objects = []
@@ -142,9 +143,7 @@ def sample_parameters(ast: ScenarioAst, seed: int) -> ConcreteScenario:
         if isinstance(req, RequireCollision):
             requirements.append(CRequirement("collision", coll_type=req.coll_type))
         elif isinstance(req, RequireEgoSpeedAbove):
-            requirements.append(
-                CRequirement("ego_speed_above", value=_resolve(req.speed, params))
-            )
+            requirements.append(CRequirement("ego_speed_above", value=_value(req.speed, params)))
 
     termination = _concrete_trigger(ast.termination, owner=None, params=params, bound={})
 
@@ -196,23 +195,15 @@ def _has_stochastic(ast: ScenarioAst) -> bool:
     return any(isinstance(s, (Range, Choice)) for s in scalars)
 
 
-def _draw(scalar: Scalar, rng: random.Random, params: dict[str, float]) -> float:
-    if isinstance(scalar, Constant):
-        return scalar.value
-    if isinstance(scalar, ParamRef):
-        try:
-            return params[scalar.name]
-        except KeyError:
-            raise SampleError(f"unresolved param {scalar.name!r}") from None
-    if isinstance(scalar, Range):
-        return rng.uniform(scalar.lo, scalar.hi)
-    if isinstance(scalar, Choice):
-        return rng.choice(scalar.values)
-    raise TypeError(f"unknown scalar {scalar!r}")
-
-
-def _resolve(scalar: Scalar, params: dict[str, float], bound: dict[str, float] | None = None) -> float:
-    """Resolve a scalar that may not draw randomness (bodies, requirements)."""
+def _value(
+    scalar: Scalar,
+    params: dict[str, float],
+    rng: random.Random | None = None,
+    bound: dict[str, float] | None = None,
+) -> float:
+    """Resolve a scalar.  Only declaration sites pass `rng`, so a Range or
+    Choice anywhere else (bodies, triggers, requirements) is a SampleError;
+    behavior parameters in `bound` shadow params."""
     if isinstance(scalar, Constant):
         return scalar.value
     if isinstance(scalar, ParamRef):
@@ -222,7 +213,18 @@ def _resolve(scalar: Scalar, params: dict[str, float], bound: dict[str, float] |
             return params[scalar.name]
         except KeyError:
             raise SampleError(f"unresolved param {scalar.name!r}") from None
-    raise SampleError(f"distribution {scalar!r} is not allowed outside declaration sites")
+    if rng is None:
+        raise SampleError(f"distribution {scalar!r} is not allowed outside declaration sites")
+    if isinstance(scalar, Range):
+        value = rng.uniform(scalar.lo, scalar.hi)
+        if not math.isfinite(value):  # hi - lo overflows
+            raise SampleError(
+                f"Range({scalar.lo!r}, {scalar.hi!r}) drew {value!r}; hi - lo must be finite"
+            )
+        return value
+    if isinstance(scalar, Choice):
+        return rng.choice(scalar.values)
+    raise TypeError(f"unknown scalar {scalar!r}")
 
 
 def _sample_object(
@@ -231,7 +233,7 @@ def _sample_object(
     rng: random.Random,
     params: dict[str, float],
 ) -> ConcreteObject:
-    drawn = (_draw(scalar, rng, params) for scalar in declared_scalars(obj))
+    drawn = (_value(scalar, params, rng) for scalar in declared_scalars(obj))
     spatial = obj.spatial
     if isinstance(spatial, Absolute):
         cspatial: CSpatial = CAbsolute(next(drawn), next(drawn), next(drawn))
@@ -258,7 +260,7 @@ def _sample_object(
         bound = dict(zip(bdef.params, args))
         behavior = ConcreteBehavior(
             kind=bdef.action.kind,
-            args=tuple(_resolve(a, params, bound) for a in bdef.action.args),
+            args=tuple(_value(a, params, bound=bound) for a in bdef.action.args),
             direction=bdef.action.direction,
             trigger=_concrete_trigger(bdef.trigger, owner=obj.name, params=params, bound=bound),
         )
@@ -275,7 +277,7 @@ def _concrete_trigger(
         return None
     if isinstance(trigger, DistanceToEgoBelow):
         obj = trigger.obj if trigger.obj is not None else owner
-        return CTrigger("distance", obj=obj, value=_resolve(trigger.meters, params, bound))
+        return CTrigger("distance", obj=obj, value=_value(trigger.meters, params, bound=bound))
     if isinstance(trigger, TimeElapsed):
-        return CTrigger("time", value=_resolve(trigger.seconds, params, bound))
+        return CTrigger("time", value=_value(trigger.seconds, params, bound=bound))
     raise TypeError(f"unknown trigger {trigger!r}")

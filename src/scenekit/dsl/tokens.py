@@ -9,6 +9,7 @@ kebab-case names such as `t-bone` are single words.
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass
 
@@ -55,9 +56,10 @@ def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
     """Scan a script into tokens.
 
     Returns the token list and any diagnostics.  Illegal characters produce an
-    E_LEX error with a one-character span; scanning continues afterwards, so a
-    single pass reports every lexical problem.  Empty input yields an empty
-    token list and no diagnostics.
+    E_LEX error with a one-character span, and a number past the float range
+    one spanning its lexeme; scanning continues afterwards, so a single pass
+    reports every lexical problem.  Empty input yields an empty token list and
+    no diagnostics.
     """
     tokens: list[Token] = []
     diags: list[Diagnostic] = []
@@ -74,7 +76,12 @@ def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
         lexeme = text[start:pos]
         span = Span(line, start - line_start + 1, line, pos - line_start + 1)
         if group == "number":
-            tokens.append(Token(TokenKind.NUMBER, lexeme, span, float(lexeme)))
+            value = float(lexeme)
+            if math.isinf(value):
+                message = f"number {lexeme} is out of range (a float's largest is about 1.8e308)"
+                diags.append(Diagnostic(Severity.ERROR, span, "E_LEX", message))
+            else:
+                tokens.append(Token(TokenKind.NUMBER, lexeme, span, value))
         elif group == "single":
             tokens.append(Token(_SINGLE[lexeme], lexeme, span))
         elif group == "word" and (lexeme[0].isalpha() or lexeme[0] == "_"):

@@ -8,11 +8,8 @@ references are reported once per cycle rather than once per member.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from scenekit.dsl.diagnostics import Diagnostic, Severity, Span
 from scenekit.dsl.nodes import (
-    BehaviorDef,
     COLLISION_TYPE_NAMES,
     Choice,
     Constant,
@@ -44,17 +41,49 @@ def validate(ast: ScenarioAst) -> list[Diagnostic]:
     used_params: set[str] = set()
     used_behaviors: set[str] = set()
 
+    def check_scalar(scalar: Scalar, span: Span, local: tuple[str, ...] = ()) -> None:
+        """A param reference must name a behavior parameter in `local` or a param."""
+        if isinstance(scalar, ParamRef) and scalar.name not in local:
+            if scalar.name in param_names:
+                used_params.add(scalar.name)
+            else:
+                diags.append(_err(span, "E_UNRESOLVED_REF", f"unknown param {scalar.name!r}"))
+        elif not isinstance(scalar, (Constant, Range, Choice, ParamRef)):
+            raise TypeError(f"unknown scalar {scalar!r}")
+
+    def check_trigger(
+        trigger: Trigger | None, span: Span, local: tuple[str, ...] = (), implicit_ok: bool = True
+    ) -> None:
+        if isinstance(trigger, DistanceToEgoBelow):
+            if trigger.obj is None:
+                if not implicit_ok:
+                    diags.append(
+                        _err(
+                            span,
+                            "E_TRIGGER_NO_OBJECT",
+                            "terminate triggers must name an object: "
+                            "'distance from <obj> to ego below ...'",
+                        )
+                    )
+            elif trigger.obj not in object_index:
+                diags.append(_err(span, "E_UNRESOLVED_REF", f"unknown object {trigger.obj!r}"))
+            check_scalar(trigger.meters, span, local)
+        elif isinstance(trigger, TimeElapsed):
+            check_scalar(trigger.seconds, span, local)
+        elif trigger is not None:
+            raise TypeError(f"unknown trigger {trigger!r}")
+
     cycle_members = _spatial_cycles(ast.objects, object_index, diags)
 
     for i, obj in enumerate(ast.objects):
         if isinstance(obj.spatial, Relative):
             ref = obj.spatial.ref
             if ref not in object_index:
-                diags.append(_err(obj, "E_UNRESOLVED_REF", f"unknown object {ref!r}"))
+                diags.append(_err(obj.span, "E_UNRESOLVED_REF", f"unknown object {ref!r}"))
             elif object_index[ref] >= i and obj.name not in cycle_members:
                 diags.append(
                     _err(
-                        obj,
+                        obj.span,
                         "E_FORWARD_REF",
                         f"{obj.name!r} is placed relative to {ref!r}, which is declared later",
                     )
@@ -64,62 +93,53 @@ def validate(ast: ScenarioAst) -> list[Diagnostic]:
         scalars = list(declared_scalars(obj))
         args = obj.behavior.args if obj.behavior is not None else ()
         for scalar in scalars[: len(scalars) - len(args)]:
-            _check_scalar(scalar, obj, param_names, None, used_params, diags)
+            check_scalar(scalar, obj.span)
         if obj.dims is not None and all(isinstance(s, Constant) for s in obj.dims):
             length, width = (s.value for s in obj.dims)
             if length <= 0 or width <= 0:
                 diags.append(
-                    _err(obj, "E_BAD_DIMS", f"dims must be positive, got ({length}, {width})")
+                    _err(obj.span, "E_BAD_DIMS", f"dims must be positive, got ({length}, {width})")
                 )
         if obj.behavior is not None:
             used_behaviors.add(obj.behavior.name)
             bdef = behaviors.get(obj.behavior.name)
             if bdef is None:
                 diags.append(
-                    _err(obj, "E_UNRESOLVED_REF", f"unknown behavior {obj.behavior.name!r}")
+                    _err(obj.span, "E_UNRESOLVED_REF", f"unknown behavior {obj.behavior.name!r}")
                 )
             elif len(obj.behavior.args) != len(bdef.params):
                 diags.append(
                     _err(
-                        obj,
+                        obj.span,
                         "E_BEHAVIOR_ARITY",
                         f"behavior {bdef.name!r} takes {len(bdef.params)} argument(s), "
                         f"got {len(obj.behavior.args)}",
                     )
                 )
         for arg in args:
-            _check_scalar(arg, obj, param_names, None, used_params, diags)
+            check_scalar(arg, obj.span)
 
     for bdef in ast.behaviors:
-        local = set(bdef.params)
         for scalar in bdef.action.args:
-            _check_scalar(scalar, bdef, param_names, local, used_params, diags)
-        _check_trigger(bdef.trigger, bdef, object_index, param_names, local, used_params, diags, implicit_ok=True)
+            check_scalar(scalar, bdef.span, bdef.params)
+        check_trigger(bdef.trigger, bdef.span, bdef.params)
 
     for req in ast.requirements:
         if isinstance(req, RequireCollision):
             if req.coll_type is not None and req.coll_type not in COLLISION_TYPE_NAMES:
                 diags.append(
                     _err(
-                        req,
+                        req.span,
                         "E_UNKNOWN_COLLISION_TYPE",
                         f"unknown collision type {req.coll_type!r}; "
                         f"expected one of {', '.join(COLLISION_TYPE_NAMES)}",
                     )
                 )
         elif isinstance(req, RequireEgoSpeedAbove):
-            _check_scalar(req.speed, req, param_names, None, used_params, diags)
+            check_scalar(req.speed, req.span)
 
-    _check_trigger(
-        ast.termination,
-        _TermSpanHolder(),
-        object_index,
-        param_names,
-        None,
-        used_params,
-        diags,
-        implicit_ok=False,
-    )
+    # The AST keeps no span for the terminate statement: its diagnostics point at 1:1.
+    check_trigger(ast.termination, Span.point(1, 1), implicit_ok=False)
 
     for p in ast.params:
         if p.name not in used_params:
@@ -141,65 +161,8 @@ def validate(ast: ScenarioAst) -> list[Diagnostic]:
     return diags
 
 
-@dataclass(frozen=True)
-class _TermSpanHolder:
-    """Stand-in carrying the span used for terminate-statement diagnostics."""
-
-    span: Span = Span(1, 1, 1, 2)
-
-
-def _err(node, code: str, message: str) -> Diagnostic:
-    return Diagnostic(Severity.ERROR, node.span, code, message)
-
-
-def _check_scalar(
-    scalar: Scalar,
-    node,
-    param_names: set[str],
-    local_params: set[str] | None,
-    used_params: set[str],
-    diags: list[Diagnostic],
-) -> None:
-    if isinstance(scalar, ParamRef):
-        if local_params is not None and scalar.name in local_params:
-            return
-        if scalar.name in param_names:
-            used_params.add(scalar.name)
-            return
-        diags.append(_err(node, "E_UNRESOLVED_REF", f"unknown param {scalar.name!r}"))
-    elif isinstance(scalar, (Constant, Range, Choice)):
-        return
-    else:
-        raise TypeError(f"unknown scalar {scalar!r}")
-
-
-def _check_trigger(
-    trigger: Trigger | None,
-    node,
-    object_index: dict[str, int],
-    param_names: set[str],
-    local_params: set[str] | None,
-    used_params: set[str],
-    diags: list[Diagnostic],
-    implicit_ok: bool,
-) -> None:
-    if isinstance(trigger, DistanceToEgoBelow):
-        if trigger.obj is None:
-            if not implicit_ok:
-                diags.append(
-                    _err(
-                        node,
-                        "E_TRIGGER_NO_OBJECT",
-                        "terminate triggers must name an object: 'distance from <obj> to ego below ...'",
-                    )
-                )
-        elif trigger.obj not in object_index:
-            diags.append(_err(node, "E_UNRESOLVED_REF", f"unknown object {trigger.obj!r}"))
-        _check_scalar(trigger.meters, node, param_names, local_params, used_params, diags)
-    elif isinstance(trigger, TimeElapsed):
-        _check_scalar(trigger.seconds, node, param_names, local_params, used_params, diags)
-    elif trigger is not None:
-        raise TypeError(f"unknown trigger {trigger!r}")
+def _err(span: Span, code: str, message: str) -> Diagnostic:
+    return Diagnostic(Severity.ERROR, span, code, message)
 
 
 def _spatial_cycles(

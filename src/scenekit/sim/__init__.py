@@ -27,5 +27,4 @@ from scenekit.sim.traceio import (
     read_trace_json,
     trace_from_dict,
     trace_to_dict,
-    write_trace_json,
 )

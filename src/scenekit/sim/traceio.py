@@ -175,15 +175,6 @@ def trace_json_bytes(trace: Trace) -> bytes:
     return (text + "\n").encode("ascii")
 
 
-def write_trace_json(trace: Trace, path: Path | str) -> None:
-    """Write `trace_json_bytes(trace)` to `path`, creating its directory;
-    TraceError, and nothing written, for a non-finite trace."""
-    data = trace_json_bytes(trace)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(data)
-
-
 def read_trace_json(path: Path | str) -> Trace:
     """Read a `trace.json`; TraceError when it is unreadable, not JSON or malformed."""
     return trace_from_dict(read_json(path, TraceError, "not a JSON trace: "))

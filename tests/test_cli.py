@@ -346,6 +346,23 @@ def test_sim_compile_failure(tmp_path, capsys):
     assert any(json.loads(line)["severity"] == "error" for line in lines)
 
 
+def test_sim_reports_a_range_that_draws_past_the_float_range(tmp_path, capsys):
+    script = tmp_path / "wide.scn"
+    script.write_text("param g = Range(-1e308, 1e308)\nego = new Car at (0.0, g)\n")
+    assert main(["sim", str(script), "--map", "straight", "-o", str(tmp_path / "s")]) == 1
+    [line] = capsys.readouterr().out.splitlines()
+    assert json.loads(line)["error"].startswith("Range(-1e+308, 1e+308) drew inf")
+    assert not (tmp_path / "s").exists()
+
+
+def test_validate_rejects_a_number_past_the_float_range(tmp_path, capsys):
+    script = tmp_path / "huge.scn"
+    script.write_text("param g = 1e400\nego = new Car at (0.0, g)\n")
+    assert main(["validate", str(script)]) == 1
+    [record] = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [record[k] for k in ("code", "line", "col", "end_col")] == ["E_LEX", 1, 11, 16]
+
+
 def test_sim_missing_map(tmp_path, capsys):
     code = main(
         ["sim", str(FIXTURES / "rear_end.scn"), "--map", "atlantis", "-o", str(tmp_path / "s")]

@@ -1,5 +1,10 @@
+import hashlib
+import json
+import math
 import pickle
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +12,7 @@ from scenekit.dsl import (
     SampleError,
     VariationError,
     compile_script,
+    format_script,
     sample_parameters,
     sample_variations,
 )
@@ -212,3 +218,98 @@ def test_concrete_scenarios_pickle_and_hash_equal():
     for klass in (CAbsolute, CRelative, COnLane, CTrigger, ConcreteBehavior, ConcreteObject, CRequirement,
                   ConcreteScenario):
         assert "__slots__" in vars(klass) and "__dict__" not in vars(klass), klass
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_a_range_that_draws_past_the_float_range_names_the_range(n):
+    # hi - lo overflows, so every draw is infinite: name the Range, rather
+    # than failing later in the simulator (n = 1) or after the distinct-draw
+    # retries (n > 1)
+    ast = compile_ok("param g = Range(-1e308, 1e308)\nego = new Car at (0.0, g)\n")
+    with pytest.raises(SampleError, match=r"^Range\(-1e\+308, 1e\+308\) drew inf"):
+        sample_variations(ast, n, 0)
+
+
+# --- golden digest over the library scripts and their mutations ----------
+
+LIBRARY = Path(__file__).resolve().parent.parent / "src" / "scenekit" / "data" / "library"
+
+# Whitespace, a comment, a word or number, or one other character.
+_PIECE = re.compile(r"\s+|#[^\n]*|[\w.+-]+|.")
+# Finite literals only, and none with an exponent, so that no mutation can
+# glue digits into a number past the float range.
+_VOCAB = (
+    "param behavior new at facing ahead behind left right of by on lane with speed dims "
+    "require terminate when collision time distance from to below above always follow "
+    "brake cross cut in idle stop forward Range Choice Car Truck Pedestrian Bicycle ego "
+    "foo x t-bone rear-end other 0 -1 0.5 2 7.25 -30 100 ( ) [ ] = : ,"
+).split()
+_NUMBER = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
+
+
+def _mutate(text, rng, donors):
+    """One to three seeded edits of a script: a number swapped for another, a
+    token deleted, replaced, inserted, doubled or swapped, or a line deleted,
+    doubled, swapped or taken from another script."""
+    for _ in range(rng.choice((1, 1, 2, 3))):
+        pieces = _PIECE.findall(text)
+        atoms = [i for i, p in enumerate(pieces) if not p.isspace()]
+        numbers = [i for i in atoms if _NUMBER.fullmatch(pieces[i])]
+        op = rng.randrange(10)
+        if op < 4 and numbers:
+            i = rng.choice(numbers)
+            pieces[i] = rng.choice([w for w in _VOCAB if _NUMBER.fullmatch(w)])
+        elif op < 7 and atoms:
+            i, j = rng.choice(atoms), rng.choice(atoms)
+            pieces[i] = rng.choice(
+                (
+                    "",
+                    rng.choice(_VOCAB + [pieces[k] for k in atoms]),
+                    rng.choice(_VOCAB) + " " + pieces[i],
+                    pieces[i] + " " + pieces[i],
+                    pieces[j],
+                )
+            )
+        else:
+            lines = text.split("\n")
+            i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+            op = rng.randrange(4)
+            if op == 0:
+                del lines[i]
+            elif op == 1:
+                lines.insert(j, lines[i])
+            elif op == 2:
+                lines[i], lines[j] = lines[j], lines[i]
+            else:
+                lines.insert(j, rng.choice(rng.choice(donors).split("\n")))
+            pieces = ["\n".join(lines)]
+        text = "".join(pieces)
+    return text
+
+
+def test_library_mutations_match_the_dsl_golden_digest():
+    # The 7 library scripts and 3,010 seeded mutations of them: every
+    # diagnostic record, the formatted text and the sampled variations (or
+    # the sampling error), byte for byte.  Any change to what the front end
+    # accepts, reports or draws moves this digest.
+    rng = random.Random(15)
+    digest = hashlib.sha256()
+    inputs = 0
+    sources = [path.read_text() for path in sorted(LIBRARY.glob("*.scn"))]
+    for source in sources:
+        for k in range(431):
+            text = source if k == 0 else _mutate(source, rng, sources)
+            assert all(math.isfinite(float(m)) for m in _NUMBER.findall(text))
+            inputs += 1
+            ast, diags = compile_script(text)
+            digest.update(json.dumps([d.to_record() for d in diags], sort_keys=True).encode())
+            if ast is None:
+                continue
+            digest.update(format_script(ast).encode())
+            try:
+                outcome = repr(sample_variations(ast, 4, 3))
+            except (SampleError, VariationError) as e:
+                outcome = f"{type(e).__name__}: {e}"
+            digest.update(outcome.encode())
+    assert inputs == 3017
+    assert digest.hexdigest() == "3b2d73d9dd0570a5be7fc44ed994f9dc6ecd7098d75389263b4ff3248999311e"

@@ -32,11 +32,7 @@ from scenekit.sim.geometry import (
 )
 from scenekit.sim.geometry import _scalar_separation
 from scenekit.sim.requirements import check_requirements
-from scenekit.sim.traceio import (
-    read_trace_json,
-    trace_to_dict,
-    write_trace_json,
-)
+from scenekit.sim.traceio import read_trace_json, trace_json_bytes, trace_to_dict
 from scenekit.sim.worldmap import MapError, WorldMap, builtin_map, load_map
 
 FIXTURES = Path(__file__).parent / "data" / "fixtures"
@@ -693,19 +689,18 @@ LIBRARY_MAPS = (
 )
 
 
-def test_library_traces_match_the_golden_digest(tmp_path):
+def test_library_traces_match_the_golden_digest():
     # 280 traces, byte for byte: any change to the simulator's arithmetic,
     # or to the verdict of its collision test, moves this digest.
     digest = hashlib.sha256()
-    path = tmp_path / "trace.json"
     for script, map_name in LIBRARY_MAPS:
         ast, diags = compile_script((LIBRARY / script).read_text())
         assert ast is not None and diags == []
         world = builtin_map(map_name)
         for scenario in sample_variations(ast, 20, base_seed=5):
             for collision_stop in (True, False):
-                write_trace_json(run(scenario, world, SimConfig(collision_stop=collision_stop)), path)
-                digest.update(path.read_bytes())
+                trace = run(scenario, world, SimConfig(collision_stop=collision_stop))
+                digest.update(trace_json_bytes(trace))
     assert digest.hexdigest() == "c0880e55fa4369a187b706e39570af325a4bb05dc7dc290df0f956858865e97d"
 
 
@@ -714,7 +709,7 @@ def test_library_traces_match_the_golden_digest(tmp_path):
 
 def test_trace_json_round_trip_is_exact(tmp_path):
     _, trace = _fixture_trace("rear_end", "straight")
-    write_trace_json(trace, tmp_path / "t.json")
+    (tmp_path / "t.json").write_bytes(trace_json_bytes(trace))
     from_json = read_trace_json(tmp_path / "t.json")
     assert trace_to_dict(from_json) == trace_to_dict(trace)
     assert from_json.events[0].classification is CollisionClass.REAR_END

@@ -1,11 +1,13 @@
+import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenekit.dsl import Token, TokenKind, tokenize
-from scenekit.dsl.diagnostics import Severity
+from scenekit.dsl.diagnostics import Severity, Span
 
 
 def kinds(text):
@@ -81,6 +83,26 @@ def test_numbers():
     assert [t.value for t in tokens] == [1.0, -2.0, 3.5, -4.25, 1000.0, 0.025, 100.0]
 
 
+@pytest.mark.parametrize(
+    "lexeme", ["1e400", "-1e400", "1.8e308", "9" * 400, "-" + "1" * 310 + ".5"]
+)
+def test_number_past_the_float_range_is_a_lex_error(lexeme):
+    tokens, diags = tokenize(f"param g = {lexeme} 2")
+    [d] = diags
+    assert (d.severity, d.code) == (Severity.ERROR, "E_LEX")
+    assert d.span == Span(1, 11, 1, 11 + len(lexeme))
+    assert d.message.startswith(f"number {lexeme} is out of range")
+    # no token for the lexeme, and scanning goes on after it
+    assert [t.text for t in tokens] == ["param", "g", "=", "2"]
+    assert tokens[-1].value == 2.0
+
+
+def test_numbers_at_the_ends_of_the_float_range_still_tokenize():
+    tokens, diags = tokenize("1.7976931348623157e308 -1.7976931348623157e308 1e-400 " + "0" * 400)
+    assert not diags
+    assert [t.value for t in tokens] == [1.7976931348623157e308, -1.7976931348623157e308, 0.0, 0.0]
+
+
 def test_negative_number_vs_kebab_word():
     tokens, _ = tokenize("rear-end -5")
     assert tokens[0].kind is TokenKind.WORD and tokens[0].text == "rear-end"
@@ -135,6 +157,7 @@ def test_unicode_letter_starts_a_word(ch):
     assert [(t.kind, t.text) for t in tokens] == [(TokenKind.WORD, f"{ch}-x")]
 
 
+_NUMBER = re.compile(r"-?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
 SYNTAX = st.sampled_from(list("aZ_09-.eE+ ()[]=:,#\n\t\r@"))
 TEXT = st.text(SYNTAX | st.characters(), max_size=40)
 
@@ -154,7 +177,12 @@ def test_tokens_slice_the_source_in_order(text):
         assert tok.value == (float(tok.text) if tok.kind is TokenKind.NUMBER else None)
     for diag in diags:
         start = _offset(text, diag.span.line, diag.span.col)
-        assert diag.message == f"illegal character {text[start]!r}"
+        end = _offset(text, diag.span.end_line, diag.span.end_col)
+        if _NUMBER.fullmatch(text[start:end]):  # a number past the float range
+            assert math.isinf(float(text[start:end]))
+            assert diag.message.startswith(f"number {text[start:end]} is out of range")
+        else:
+            assert diag.message == f"illegal character {text[start]!r}"
     spans = sorted(
         (_offset(text, s.line, s.col), _offset(text, s.end_line, s.end_col))
         for s in [t.span for t in tokens] + [d.span for d in diags]

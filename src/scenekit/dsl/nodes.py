@@ -220,6 +220,7 @@ class ScenarioAst:
     objects: tuple[ObjectDecl, ...] = ()
     requirements: tuple[Requirement, ...] = ()
     termination: Trigger | None = None
+    termination_span: Span | None = field(default=None, compare=False)
 
 
 def declared_scalars(obj: ObjectDecl) -> Iterator[Scalar]:

@@ -182,6 +182,7 @@ def parse(tokens: list[Token]) -> tuple[ScenarioAst | None, list[Diagnostic]]:
             objects=tuple(objects),
             requirements=tuple(requirements),
             termination=termination,
+            termination_span=termination_span,
         ),
         diags,
     )

@@ -138,8 +138,7 @@ def validate(ast: ScenarioAst) -> list[Diagnostic]:
         elif isinstance(req, RequireEgoSpeedAbove):
             check_scalar(req.speed, req.span)
 
-    # The AST keeps no span for the terminate statement: its diagnostics point at 1:1.
-    check_trigger(ast.termination, Span.point(1, 1), implicit_ok=False)
+    check_trigger(ast.termination, ast.termination_span, implicit_ok=False)
 
     for p in ast.params:
         if p.name not in used_params:

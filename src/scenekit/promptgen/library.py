@@ -8,7 +8,7 @@ from pathlib import Path
 
 from scenekit.dsl import ScenarioAst, compile_script
 from scenekit.dsl.diagnostics import only_errors
-from scenekit.jsonio import read_json
+from scenekit.jsonio import items, member, read_json, typed
 from scenekit.promptgen.template import ScenarioType
 
 
@@ -51,37 +51,35 @@ def load_library(path: Path | str) -> ExampleLibrary:
     index_path = root / "index.json"
     index = read_json(index_path, LibraryError, f"malformed index.json in {root}: ")
 
-    raw_entries = index.get("entries") if isinstance(index, dict) else None
-    if not isinstance(raw_entries, list):
-        raise LibraryError(f"{index_path}: expected an object with an 'entries' list")
-    if not raw_entries:
+    raw_entries = member(index, "entries", LibraryError, str(index_path))
+    if not items(raw_entries, LibraryError, f"{index_path}: entries"):
         raise EmptyLibraryError(f"{index_path}: the library has no entries")
 
     entries: list[LibraryEntry] = []
     seen_ids: set[str] = set()
-    for raw in raw_entries:
-        if not isinstance(raw, dict):
-            raise LibraryError(f"{index_path}: entry is not an object: {raw!r}")
-        for key in ("id", "scenario_type", "description", "file"):
-            if not isinstance(raw.get(key), str):
-                raise LibraryError(f"{index_path}: entry needs a string {key!r}: {raw}")
-        if raw["id"] in seen_ids:
-            raise LibraryError(f"{index_path}: duplicate entry id {raw['id']!r}")
-        seen_ids.add(raw["id"])
+    for i, raw in enumerate(raw_entries):
+        where = f"{index_path}: entries[{i}]"
+        entry_id, type_name, description, file = (
+            typed(str, member(raw, key, LibraryError, where), LibraryError, f"{where}.{key}")
+            for key in ("id", "scenario_type", "description", "file")
+        )
+        if entry_id in seen_ids:
+            raise LibraryError(f"{index_path}: duplicate entry id {entry_id!r}")
+        seen_ids.add(entry_id)
         try:
-            scenario_type = ScenarioType.from_name(raw["scenario_type"])
+            scenario_type = ScenarioType.from_name(type_name)
         except ValueError as e:
-            raise LibraryError(f"{index_path}: entry {raw['id']!r}: {e}") from None
-        script_path = root / raw["file"]
+            raise LibraryError(f"{index_path}: entry {entry_id!r}: {e}") from None
+        script_path = root / file
         try:
             text = script_path.read_text()
         except (OSError, ValueError) as e:  # ValueError: not UTF-8, or a NUL in the name
-            raise LibraryError(f"entry {raw['id']!r}: cannot read {script_path}: {e}") from None
+            raise LibraryError(f"entry {entry_id!r}: cannot read {script_path}: {e}") from None
         ast, diags = compile_script(text)
         if ast is None:
             details = "; ".join(d.message for d in only_errors(diags))
-            raise LibraryError(f"entry {raw['id']!r}: script does not compile: {details}")
-        entries.append(LibraryEntry(raw["id"], scenario_type, raw["description"], text, ast))
+            raise LibraryError(f"entry {entry_id!r}: script does not compile: {details}")
+        entries.append(LibraryEntry(entry_id, scenario_type, description, text, ast))
     return ExampleLibrary(tuple(entries))
 
 

@@ -8,10 +8,11 @@ degrees, matching script text; renderers convert internally.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from scenekit.jsonio import items, member, number, typed
 
 MAX_IMAGE_SIDE = 4096  # most pixels along one image side; rasters are side x side arrays
 
@@ -123,59 +124,47 @@ def camera_to_dict(camera: Camera) -> dict:
     }
 
 
-def _finite(value, name: str) -> float:
-    # type() rather than isinstance(): a JSON boolean is no number
-    _require(type(value) in (int, float) and math.isfinite(value), f"{name} must be a finite number, got {value!r}")
-    return float(value)
-
-
 def camera_from_dict(data: dict) -> Camera:
     """Build a camera from its JSON form; any bad value raises CameraError.
 
     Every float field must be a finite JSON number (an integer serves), and
     width and height JSON integers (not booleans) of at most MAX_IMAGE_SIDE.
     """
-    try:
-        variant = data["variant"]
-    except (KeyError, TypeError):
-        raise CameraError("camera config needs a 'variant' key") from None
+    variant = member(data, "variant", CameraError, "camera config")
 
-    def number(key: str, default: float) -> float:
-        return _finite(data.get(key, default), key)
+    def numbers(key: str, value, count: int) -> list[float]:
+        return [float(number(v, CameraError, key)) for v in items(value, CameraError, key, count)]
 
-    try:
-        sides = {key: data.get(key, 512) for key in ("width", "height")}
-        _require(all(type(side) is int for side in sides.values()), f"width and height must be integers: {sides}")
-        if variant == "topdown":
-            cx, cy = data.get("center", (0.0, 0.0))
-            return TopDownCamera(
-                center_x=_finite(cx, "center"),
-                center_y=_finite(cy, "center"),
-                meters_per_pixel=number("meters_per_pixel", 0.1),
-                ortho_height=number("ortho_height", 50.0),
-                far_plane=number("far_plane", 100.0),
-                **sides,
-            )
-        if variant == "pinhole":
-            x, y, z = data["position"]
-            principal = data.get("principal")
-            cx, cy = (None, None) if principal is None else (_finite(v, "principal") for v in principal)
-            return PinholeCamera(
-                x=_finite(x, "position"),
-                y=_finite(y, "position"),
-                z=_finite(z, "position"),
-                yaw_deg=number("yaw_deg", 0.0),
-                pitch_deg=number("pitch_deg", 0.0),
-                focal_px=number("focal_px", 256.0),
-                cx=cx,
-                cy=cy,
-                far_plane=number("far_plane", 100.0),
-                **sides,
-            )
-    except CameraError:
-        raise
-    except (KeyError, TypeError, ValueError, OverflowError) as e:  # Overflow: an int past float range
-        raise CameraError(f"malformed camera config: {e}") from None
+    def scalar(key: str, default: float) -> float:
+        return float(number(data.get(key, default), CameraError, key))
+
+    sides = {key: typed(int, data.get(key, 512), CameraError, key) for key in ("width", "height")}
+    if variant == "topdown":
+        cx, cy = numbers("center", data.get("center", [0.0, 0.0]), 2)
+        return TopDownCamera(
+            center_x=cx,
+            center_y=cy,
+            meters_per_pixel=scalar("meters_per_pixel", 0.1),
+            ortho_height=scalar("ortho_height", 50.0),
+            far_plane=scalar("far_plane", 100.0),
+            **sides,
+        )
+    if variant == "pinhole":
+        x, y, z = numbers("position", member(data, "position", CameraError, "pinhole camera config"), 3)
+        principal = data.get("principal")
+        cx, cy = (None, None) if principal is None else numbers("principal", principal, 2)
+        return PinholeCamera(
+            x=x,
+            y=y,
+            z=z,
+            yaw_deg=scalar("yaw_deg", 0.0),
+            pitch_deg=scalar("pitch_deg", 0.0),
+            focal_px=scalar("focal_px", 256.0),
+            cx=cx,
+            cy=cy,
+            far_plane=scalar("far_plane", 100.0),
+            **sides,
+        )
     raise CameraError(f"unknown camera variant {variant!r}")
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from scenekit.jsonio import read_json
+from scenekit.jsonio import number, read_json, typed
 from scenekit.render.raster import PALETTE_SIZE
 
 MODALITIES = ("seg", "depth", "edge")
@@ -81,15 +81,11 @@ def load_weights(source: str | Path) -> dict[str, float]:
         return dict(PRESETS[text])
     path = Path(source)
     data = read_json(path, ValueError, f"{path}: ")
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected an object of modality weights")
     weights: dict[str, float] = {}
-    for key, value in data.items():
+    for key, value in typed(dict, data, ValueError, f"{path}: modality weights").items():
         if key not in MODALITIES:
             raise ValueError(f"{path}: unknown modality {key!r}")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"{path}: weight {key}={value!r} is not a number")
-        if not 0.0 <= value <= 1.0:  # also false for NaN
+        weights[key] = float(number(value, ValueError, f"{path}: weight {key}"))
+        if not 0.0 <= weights[key] <= 1.0:
             raise ValueError(f"{path}: weight {key}={value} outside [0, 1]")
-        weights[key] = float(value)
     return weights

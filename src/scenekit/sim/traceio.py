@@ -7,11 +7,10 @@ written with sorted keys so identical traces give identical bytes.
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 from scenekit.dsl.nodes import AgentClass
-from scenekit.jsonio import read_json
+from scenekit.jsonio import items, member, number, read_json, typed
 from scenekit.sim.classify import CollisionClass
 from scenekit.sim.engine import AgentState, CollisionEvent, Trace
 
@@ -61,38 +60,11 @@ class TraceError(ValueError):
     """A trace JSON that is not well formed."""
 
 
-def _field(obj, key: str, where: str):
-    if not isinstance(obj, dict):
-        raise TraceError(f"{where} must be an object, got {type(obj).__name__}")
-    if key not in obj:
-        raise TraceError(f"{where} has no {key!r}")
-    return obj[key]
-
-
-def _items(value, where: str, length: int | None = None) -> list:
-    if not isinstance(value, list):
-        raise TraceError(f"{where} must be a list, got {type(value).__name__}")
-    if length is not None and len(value) != length:
-        raise TraceError(f"{where} must have {length} entries, got {len(value)}")
-    return value
-
-
-def _number(value, where: str):
-    """A finite JSON number, kept as read so re-export writes the same bytes."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            if math.isfinite(value):
-                return value
-        except OverflowError:
-            pass
-    raise TraceError(f"{where} must be a finite number, got {value!r}")
-
-
-def _typed(kind: type, value, where: str):
-    """`value` when it is a `kind` (an int that is a bool is not)."""
-    if isinstance(value, kind) and not isinstance(value, bool):
-        return value
-    raise TraceError(f"{where} must be {kind.__name__}, got {value!r}")
+def _flag(value, where: str) -> bool:
+    """The `active` flag, which `trace_to_dict` writes as 0 or 1."""
+    if typed(int, value, TraceError, where) not in (0, 1):
+        raise TraceError(f"{where} must be 0 or 1, got {value!r}")
+    return value == 1
 
 
 def _enum(enum_type, value, where: str):
@@ -105,63 +77,66 @@ def _enum(enum_type, value, where: str):
 def trace_from_dict(data) -> Trace:
     """Rebuild a trace written by `trace_to_dict`; TraceError when malformed."""
     agents = []
-    for i, meta in enumerate(_items(_field(data, "agents", "trace"), "agents")):
+    for i, meta in enumerate(items(member(data, "agents", TraceError, "trace"), TraceError, "agents")):
         where = f"agents[{i}]"
         agents.append(
             (
-                _typed(str, _field(meta, "name", where), f"{where}.name"),
-                _enum(AgentClass, _field(meta, "class", where), where),
-                _number(_field(meta, "length", where), f"{where}.length"),
-                _number(_field(meta, "width", where), f"{where}.width"),
+                typed(str, member(meta, "name", TraceError, where), TraceError, f"{where}.name"),
+                _enum(AgentClass, member(meta, "class", TraceError, where), where),
+                number(member(meta, "length", TraceError, where), TraceError, f"{where}.length"),
+                number(member(meta, "width", TraceError, where), TraceError, f"{where}.width"),
             )
         )
     frames = []
-    for k, frame in enumerate(_items(_field(data, "frames", "trace"), "frames")):
+    for k, frame in enumerate(items(member(data, "frames", TraceError, "trace"), TraceError, "frames")):
         where = f"frames[{k}]"
-        rows = _items(_field(frame, "states", where), f"{where}.states", len(agents))
+        rows = items(member(frame, "states", TraceError, where), TraceError, f"{where}.states", len(agents))
         states = []
         for (name, klass, length, width), row in zip(agents, rows):
-            x, y, heading, speed, active, behavior_state = _items(row, f"{where} {name}", 6)
+            at = f"{where} {name}"
+            x, y, heading, speed, active, behavior_state = items(row, TraceError, at, 6)
             states.append(
                 AgentState(
                     name=name,
                     klass=klass,
-                    x=_number(x, f"{where} {name} x"),
-                    y=_number(y, f"{where} {name} y"),
-                    heading=_number(heading, f"{where} {name} heading"),
-                    speed=_number(speed, f"{where} {name} speed"),
+                    x=number(x, TraceError, f"{at} x"),
+                    y=number(y, TraceError, f"{at} y"),
+                    heading=number(heading, TraceError, f"{at} heading"),
+                    speed=number(speed, TraceError, f"{at} speed"),
                     length=length,
                     width=width,
-                    behavior_state=_typed(str, behavior_state, f"{where} {name} behavior_state"),
-                    active=bool(active),
+                    behavior_state=typed(str, behavior_state, TraceError, f"{at} behavior_state"),
+                    active=_flag(active, f"{at} active"),
                 )
             )
         frames.append(tuple(states))
     if not frames:
         raise TraceError("trace has no frames")
     events = []
-    for i, e in enumerate(_items(_field(data, "events", "trace"), "events")):
+    for i, e in enumerate(items(member(data, "events", TraceError, "trace"), TraceError, "events")):
         where = f"events[{i}]"
-        impact = _items(_field(e, "impact", where), f"{where}.impact", 2)
-        faces = _items(_field(e, "faces", where), f"{where}.faces", 2)
+        impact = items(member(e, "impact", TraceError, where), TraceError, f"{where}.impact", 2)
+        faces = items(member(e, "faces", TraceError, where), TraceError, f"{where}.faces", 2)
         events.append(
             CollisionEvent(
-                time=_number(_field(e, "time", where), f"{where}.time"),
-                frame=_typed(int, _field(e, "frame", where), f"{where}.frame"),
-                agent_a=_typed(str, _field(e, "a", where), f"{where}.a"),
-                agent_b=_typed(str, _field(e, "b", where), f"{where}.b"),
-                impact=tuple(_number(v, f"{where}.impact") for v in impact),
-                rel_heading_deg=_number(_field(e, "rel_heading_deg", where), f"{where}.rel_heading_deg"),
-                faces=tuple(_typed(str, v, f"{where}.faces") for v in faces),
-                classification=_enum(CollisionClass, _field(e, "classification", where), where),
+                time=number(member(e, "time", TraceError, where), TraceError, f"{where}.time"),
+                frame=typed(int, member(e, "frame", TraceError, where), TraceError, f"{where}.frame"),
+                agent_a=typed(str, member(e, "a", TraceError, where), TraceError, f"{where}.a"),
+                agent_b=typed(str, member(e, "b", TraceError, where), TraceError, f"{where}.b"),
+                impact=tuple(number(v, TraceError, f"{where}.impact") for v in impact),
+                rel_heading_deg=number(
+                    member(e, "rel_heading_deg", TraceError, where), TraceError, f"{where}.rel_heading_deg"
+                ),
+                faces=tuple(typed(str, v, TraceError, f"{where}.faces") for v in faces),
+                classification=_enum(CollisionClass, member(e, "classification", TraceError, where), where),
             )
         )
     return Trace(
-        map_name=_typed(str, _field(data, "map", "trace"), "map"),
-        dt=_number(_field(data, "dt", "trace"), "dt"),
+        map_name=typed(str, member(data, "map", TraceError, "trace"), TraceError, "map"),
+        dt=number(member(data, "dt", TraceError, "trace"), TraceError, "dt"),
         frames=frames,
         events=events,
-        termination=_typed(str, _field(data, "termination", "trace"), "termination"),
+        termination=typed(str, member(data, "termination", TraceError, "trace"), TraceError, "termination"),
     )
 
 

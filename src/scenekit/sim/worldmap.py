@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from scenekit.jsonio import read_json
+from scenekit.jsonio import items, member, number, read_json, typed
 
 
 class MapError(Exception):
@@ -107,69 +107,43 @@ class WorldMap:
         return best
 
 
-def _number(value, where: str) -> float:
-    """A finite float from a JSON field, or MapError naming the field."""
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past the float range
-        number = math.nan
-    if not math.isfinite(number):
-        raise MapError(f"{where}: expected a finite number, got {value!r}")
-    return number
-
-
 def load_map(path: Path | str) -> WorldMap:
     path = Path(path)
     raw = read_json(path, MapError, f"malformed map JSON in {path}: ")
-    if not isinstance(raw, dict) or not isinstance(raw.get("lanes"), list):
-        raise MapError(f"{path}: expected a 'lanes' list")
     lanes: dict[str, Lane] = {}
-    for entry in raw["lanes"]:
-        if not isinstance(entry, dict):
-            raise MapError(f"{path}: lane entry must be an object, got {entry!r}")
-        for key in ("id", "width", "centerline"):
-            if key not in entry:
-                raise MapError(f"{path}: lane entry missing {key!r}")
-        if not isinstance(entry["id"], str):
-            raise MapError(f"{path}: lane id must be a string, got {entry['id']!r}")
-        if entry["id"] in lanes:
-            raise MapError(f"{path}: duplicate lane id {entry['id']!r}")
-        where = f"{path}: lane {entry['id']!r}"
-        try:
-            centerline = tuple(
-                (_number(x, f"{where} centerline"), _number(y, f"{where} centerline"))
-                for x, y in entry["centerline"]
-            )
-        except (TypeError, ValueError):
-            raise MapError(f"{where}: centerline must be a list of [x, y] points") from None
-        successors = entry.get("successors", [])
-        if not isinstance(successors, list) or not all(isinstance(n, str) for n in successors):
-            raise MapError(f"{where}: successors must be a list of lane ids")
-        lanes[entry["id"]] = Lane(
-            id=entry["id"],
-            width=_number(entry["width"], f"{where} width"),
-            centerline=centerline,
-            successors=tuple(successors),
+    for entry in items(member(raw, "lanes", MapError, str(path)), MapError, f"{path}: lanes"):
+        lane_id = member(entry, "id", MapError, f"{path}: lane entry")
+        if typed(str, lane_id, MapError, f"{path}: lane id") in lanes:
+            raise MapError(f"{path}: duplicate lane id {lane_id!r}")
+        where = f"{path}: lane {lane_id!r}"
+        at = f"{where} centerline"
+        lanes[lane_id] = Lane(
+            id=lane_id,
+            width=float(number(member(entry, "width", MapError, where), MapError, f"{where} width")),
+            centerline=tuple(
+                tuple(float(number(v, MapError, at)) for v in items(point, MapError, at, 2))
+                for point in items(member(entry, "centerline", MapError, where), MapError, at)
+            ),
+            successors=tuple(
+                typed(str, n, MapError, f"{where} successors")
+                for n in items(entry.get("successors", []), MapError, f"{where} successors")
+            ),
         )
     for lane in lanes.values():
         for succ in lane.successors:
             if succ not in lanes:
-                raise MapError(f"lane {lane.id!r}: unknown successor {succ!r}")
+                raise MapError(f"{path}: lane {lane.id!r}: unknown successor {succ!r}")
 
-    raw_anchors = raw.get("anchors", {})
-    if not isinstance(raw_anchors, dict):
-        raise MapError(f"{path}: 'anchors' must be an object of named poses")
     anchors = {}
-    for name, a in raw_anchors.items():
+    for name, a in typed(dict, raw.get("anchors", {}), MapError, f"{path}: anchors").items():
         where = f"{path}: anchor {name!r}"
-        if not isinstance(a, dict):
-            raise MapError(f"{where}: expected an object with x, y, heading_deg")
         anchors[name] = Pose(
-            _number(a.get("x"), f"{where} x"),
-            _number(a.get("y"), f"{where} y"),
-            math.radians(_number(a.get("heading_deg", 0.0), f"{where} heading_deg")),
+            float(number(member(a, "x", MapError, where), MapError, f"{where} x")),
+            float(number(member(a, "y", MapError, where), MapError, f"{where} y")),
+            math.radians(number(a.get("heading_deg", 0.0), MapError, f"{where} heading_deg")),
         )
-    return WorldMap(name=raw.get("name", path.stem), lanes=lanes, anchors=anchors)
+    name = typed(str, raw.get("name", path.stem), MapError, f"{path}: name")
+    return WorldMap(name=name, lanes=lanes, anchors=anchors)
 
 
 def builtin_map(name: str) -> WorldMap:

@@ -382,6 +382,17 @@ def test_sim_rejects_bad_lane_width_as_env_failure(tmp_path, capsys, width):
     assert "width" in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
 
+
+def test_sim_refuses_a_map_whose_name_is_not_a_string(tmp_path, capsys):
+    # `render` would refuse the trace such a map gives (its `map` must be a string)
+    doc = json.loads((Path(cli.__file__).parent / "data" / "maps" / "straight.map.json").read_text())
+    world = tmp_path / "m.json"
+    world.write_text(json.dumps({**doc, "name": 5}))
+    code = main(["sim", str(FIXTURES / "rear_end.scn"), "--map", str(world), "-o", str(tmp_path / "out")])
+    assert code == 2
+    assert "name must be str" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
 def test_sim_trace_bytes_deterministic(tmp_path):
     for name in ("one", "two"):
         code = main(

@@ -90,20 +90,21 @@ def _paths(value, prefix=()):
             yield from _paths(child, prefix + (index,))
 
 
+def _replaced(good, path, value):
+    """A copy of `good` with the value at `path` replaced by `value`."""
+    if not path:
+        return value
+    out = copy.deepcopy(good)
+    node = out
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    return out
+
+
 def _swapped(good):
     """Strategy: arbitrary JSON, or `good` with the value at one path replaced."""
-
-    def swap(path, value):
-        if not path:
-            return value
-        out = copy.deepcopy(good)
-        node = out
-        for step in path[:-1]:
-            node = node[step]
-        node[path[-1]] = value
-        return out
-
-    return JSON | st.builds(swap, st.sampled_from(list(_paths(good))), JSON)
+    return JSON | st.builds(_replaced, st.just(good), st.sampled_from(list(_paths(good))), JSON)
 
 
 def _write(directory, name, value):
@@ -134,14 +135,53 @@ def test_trace_loader_loads_or_raises_trace_error(value):
     trace_json_bytes(trace)  # a trace that loads can be written back (bundle does)
 
 
+def _finite_float(value) -> bool:
+    return type(value) is float and math.isfinite(value)
+
+
+@pytest.mark.parametrize(
+    "active", ["no", [], 2, True], ids=["string", "empty-list", "two", "true"]
+)
+def test_trace_active_flag_is_0_or_1(tmp_path, active):
+    trace = _replaced(GOOD_TRACE, ("frames", 1, "states", 0, 4), active)
+    with pytest.raises(TraceError, match=r"frames\[1\] ego active must be"):
+        read_trace_json(_write(tmp_path, "trace.json", trace))
+
+
 @settings(max_examples=300, deadline=None)
 @given(_swapped(GOOD_MAP))
 def test_map_loader_loads_or_raises_map_error(value):
     with tempfile.TemporaryDirectory() as tmp:
         try:
-            load_map(_write(tmp, "m.json", value))
+            world = load_map(_write(tmp, "m.json", value))
         except MapError:
-            pass
+            return
+    assert type(world.name) is str
+    for lane_id, lane in world.lanes.items():
+        assert type(lane_id) is str and lane.id == lane_id
+        assert all(type(successor) is str for successor in lane.successors)
+        assert _finite_float(lane.width) and all(_finite_float(v) for point in lane.centerline for v in point)
+    for pose in world.anchors.values():
+        assert _finite_float(pose.x) and _finite_float(pose.y) and _finite_float(pose.heading)
+
+
+@pytest.mark.parametrize(
+    "path,value,named",
+    [
+        (("lanes", 0, "width"), "3.5", "lane 'a' width"),
+        (("lanes", 0, "width"), True, "lane 'a' width"),
+        (("lanes", 0, "centerline"), ["00", "50"], "lane 'a' centerline"),
+        (("lanes", 1, "centerline", 1, 0), "50", "lane 'b' centerline"),
+        (("anchors", "start", "x"), True, "anchor 'start' x"),
+        (("anchors", "start", "heading_deg"), "90", "anchor 'start' heading_deg"),
+        (("name",), 5, "name"),
+    ],
+    ids=["width-string", "width-true", "centerline-strings", "coordinate-string", "anchor-x-true",
+         "anchor-heading-string", "name-number"],
+)
+def test_map_fields_refuse_strings_booleans_and_numbers_of_the_wrong_kind(tmp_path, path, value, named):
+    with pytest.raises(MapError, match=named):
+        load_map(_write(tmp_path, "m.json", _replaced(GOOD_MAP, path, value)))
 
 
 @settings(max_examples=200, deadline=None)

@@ -540,7 +540,10 @@ def cmd_stub_llm(args) -> int:
         server = StubLLMServer(responses, host=args.host, port=args.port)
     except ValueError as e:
         raise CliError(f"bad responses file: {e}") from e
-    server.start()
+    try:
+        server.start()
+    except (OSError, OverflowError) as e:  # address in use or unknown; port past 65535
+        raise CliError(f"cannot serve on {args.host}:{args.port}: {e}") from e
     print(json.dumps({"base_url": server.base_url}), flush=True)
     try:
         while True:

@@ -1,7 +1,7 @@
-"""The one reader of JSON input files, and the field checks every file loader
-makes on what it read.  Each function takes the caller's error type, so a
-malformed file raises the loader's own error, with a message naming the field
-by the caller's `where`."""
+"""The one reader of JSON input files and endpoint replies, and the field
+checks every file loader makes on what it read.  Each function takes the
+caller's error type, so a malformed file raises the loader's own error, with
+a message naming the field by the caller's `where`."""
 
 import json
 import math
@@ -14,10 +14,19 @@ def read_json(path: Path | str, error_type: type[Exception], prefix: str):
     failure.  NaN and Infinity parse; each loader checks its own numbers."""
     path = Path(path)
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
     except FileNotFoundError as e:
         raise error_type(f"no {path.name} in {path.parent}") from e
-    except (OSError, ValueError, RecursionError) as e:
+    except (OSError, ValueError) as e:
+        raise error_type(f"{prefix}{e}") from e
+    return parse_json(text, error_type, prefix)
+
+
+def parse_json(text: str, error_type: type[Exception], prefix: str):
+    """The JSON value in `text`, else `error_type`(`prefix` + the reason)."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:  # not JSON, or nested too deep
         raise error_type(f"{prefix}{e}") from e
 
 

@@ -1,16 +1,24 @@
-"""Minimal chat-completions client over HTTP.
+"""Minimal chat-completions client over HTTP, on the standard library.
 
-Transport failures (connection refused, timeout) are retried with exponential
-backoff; HTTP error statuses are not retried, since a 4xx will not get better
-by waiting and quota errors (429) should surface immediately.
+Transport failures (connection refused, timeout, a dropped connection) are
+retried with exponential backoff; HTTP error statuses are not retried, since
+a 4xx will not get better by waiting and quota errors (429) should surface
+immediately.  Proxies and certificates are `urllib.request`'s defaults: the
+`*_proxy` environment variables as they stand at the process's first request,
+and the system CA store or `SSL_CERT_FILE`.
 """
 
 from __future__ import annotations
 
+import http.client
+import json
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass
 
-import requests
+from scenekit.jsonio import parse_json
 
 
 class TransportError(Exception):
@@ -49,11 +57,20 @@ def call_llm(
 ) -> str:
     """Send one user prompt, return the assistant text.
 
-    Raises TransportError when the endpoint stays unreachable, ApiError on
-    HTTP failure or a malformed envelope, EmptyResponseError when content is
-    blank.  `sleep` is injectable so tests can skip real backoff waits.
+    Raises TransportError when the endpoint stays unreachable or the base URL
+    is not http(s), ApiError on HTTP failure or a malformed envelope,
+    EmptyResponseError when content is blank, and ValueError for a
+    non-finite temperature.  `sleep` is injectable so tests can skip real
+    backoff waits.
     """
     url = config.base_url.rstrip("/") + "/chat/completions"
+    try:
+        scheme = urllib.parse.urlsplit(url).scheme
+    except ValueError:  # e.g. an unclosed "[" in the host
+        scheme = ""
+    if scheme not in ("http", "https"):
+        # urllib would read a file:// URL from disk: refuse before any attempt
+        raise TransportError(f"cannot reach {url}: the base URL must be http:// or https://")
     payload: dict = {
         "model": config.model,
         "messages": [{"role": "user", "content": prompt}],
@@ -61,26 +78,35 @@ def call_llm(
     }
     if seed is not None:
         payload["seed"] = seed
+    body = json.dumps(payload, allow_nan=False).encode()
     headers = {"Content-Type": "application/json"}
     if config.api_key:
         headers["Authorization"] = f"Bearer {config.api_key}"
 
     last_exc: Exception | None = None
     for attempt in range(1, config.attempts + 1):
+        request = urllib.request.Request(url, body, headers, method="POST")
         try:
-            resp = requests.post(url, json=payload, headers=headers, timeout=config.timeout_s)
-        except requests.RequestException as e:
+            try:
+                with urllib.request.urlopen(request, timeout=config.timeout_s) as resp:
+                    status, reply = resp.status, resp.read()
+            except urllib.error.HTTPError as e:  # an OSError too, so caught first
+                with e:
+                    status, reply = e.code, e.read()
+        # ValueError: a header http.client refuses, such as a key with a newline
+        except (OSError, http.client.HTTPException, ValueError) as e:
             last_exc = e
             if attempt < config.attempts:
                 sleep(config.backoff_s * 2 ** (attempt - 1))
             continue
-        if resp.status_code // 100 != 2:
-            raise ApiError(resp.status_code, resp.text)
+        if status // 100 != 2:
+            raise ApiError(status, reply.decode("utf-8", "replace"))
         try:
-            data = resp.json()
+            data = parse_json(reply.decode("utf-8"), ValueError, "")
             content = data["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError):
-            raise ApiError(resp.status_code, f"malformed completion body: {resp.text[:200]}") from None
+            text = reply.decode("utf-8", "replace")
+            raise ApiError(status, f"malformed completion body: {text[:200]}") from None
         if content is None or not content.strip():
             raise EmptyResponseError("endpoint returned an empty completion")
         return content

@@ -63,9 +63,12 @@ class StubLLMServer:
                 if not self.path.endswith("/chat/completions"):
                     self.send_error(404)
                     return
-                length = int(self.headers.get("Content-Length", "0"))
+                length = self.headers.get("Content-Length", "0")
+                if not length.isdecimal():  # int() would take "-1", " 1" or "1_0"
+                    self.send_error(400, "Content-Length is not a byte count")
+                    return
                 try:
-                    payload = json.loads(self.rfile.read(length) or b"{}")
+                    payload = json.loads(self.rfile.read(int(length)) or b"{}")
                 except (ValueError, RecursionError):  # not UTF-8, not JSON, too deep
                     payload = None
                 if not isinstance(payload, dict):

@@ -3,15 +3,17 @@
 import json
 import math
 import os
+import socket
 import subprocess
 import sys
 import time
 import types
+import urllib.error
+import urllib.request
 from pathlib import Path
 
 import numpy as np
 import pytest
-import requests
 
 from scenekit import cli
 from scenekit.cli import main
@@ -1235,21 +1237,68 @@ def test_stub_llm_serves_scripted_responses(tmp_path):
     )
     try:
         line = proc.stdout.readline()
-        base_url = json.loads(line)["base_url"]
-        reply = requests.post(
-            base_url + "/chat/completions",
-            json={"model": "m", "messages": [{"role": "user", "content": "hi"}]},
-            timeout=5,
-        )
-        assert reply.status_code == 200
-        assert reply.json()["choices"][0]["message"]["content"] == "first answer"
-        second = requests.post(
-            base_url + "/chat/completions", json={"model": "m", "messages": []}, timeout=5
-        )
-        assert second.status_code == 418
+        url = json.loads(line)["base_url"] + "/chat/completions"
+        body = {"model": "m", "messages": [{"role": "user", "content": "hi"}]}
+        with urllib.request.urlopen(url, json.dumps(body).encode(), timeout=5) as reply:
+            assert reply.status == 200
+            assert json.load(reply)["choices"][0]["message"]["content"] == "first answer"
+        with pytest.raises(urllib.error.HTTPError) as second:
+            urllib.request.urlopen(url, b'{"model": "m", "messages": []}', timeout=5)
+        assert second.value.code == 418
+        second.value.close()
     finally:
         proc.terminate()
         proc.wait(timeout=10)
+        proc.stdout.close()
+
+
+def _interrupt(seconds):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize(
+    "flags, address",
+    [
+        (["--port", "70000"], "127.0.0.1:70000"),
+        (["--port", "-1"], "127.0.0.1:-1"),
+        (["--host", "999.1.1.1"], "999.1.1.1:0"),
+    ],
+    ids=["port-too-high", "port-negative", "host-unknown"],
+)
+def test_stub_llm_bind_failure_is_env_failure(capsys, monkeypatch, flags, address):
+    # a server that did start would return 0 here, not wait for Ctrl-C
+    monkeypatch.setattr(cli.time, "sleep", _interrupt)
+    assert main(["stub-llm", *flags]) == 2
+    assert f"cannot serve on {address}: " in capsys.readouterr().err
+
+
+def test_stub_llm_port_in_use_is_env_failure(capsys, monkeypatch):
+    monkeypatch.setattr(cli.time, "sleep", _interrupt)
+    with socket.create_server(("127.0.0.1", 0)) as taken:
+        port = taken.getsockname()[1]
+        assert main(["stub-llm", "--port", str(port)]) == 2
+    assert f"cannot serve on 127.0.0.1:{port}: " in capsys.readouterr().err
+
+
+NO_REQUESTS_CHILD = """
+import sys
+import scenekit.cli
+after_import = "requests" in sys.modules
+code = scenekit.cli.main(["validate", sys.argv[1]])
+print(after_import, "requests" in sys.modules, code)
+"""
+
+
+def test_cli_runs_without_importing_requests(tmp_path):
+    script = tmp_path / "script.scn"
+    script.write_text(VARIATION_SCRIPT)
+    child = subprocess.run(
+        [sys.executable, "-c", NO_REQUESTS_CHILD, str(script)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert child.stdout.splitlines()[-1] == "False False 0", child.stderr
 
 
 @pytest.mark.parametrize(

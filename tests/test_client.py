@@ -1,10 +1,16 @@
 """Endpoint client behavior against the hermetic stub server."""
 
+import contextlib
+import http.client
 import json
+import os
 import socket
+import subprocess
+import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-import requests
 
 from scenekit.promptgen.client import (
     ApiError,
@@ -76,28 +82,40 @@ def test_blank_content_is_empty_response():
 
 
 @pytest.mark.parametrize(
-    "body",
-    [b"\xff\xfe\xfd not utf-8", b"[" * 5000 + b"]" * 5000, b"[1]"],
-    ids=["not-utf8", "nested-5000", "not-an-object"],
+    "body, length",
+    [
+        (b"\xff\xfe\xfd not utf-8", None),
+        (b"[" * 5000 + b"]" * 5000, None),
+        (b"[1]", None),
+        (b"", "abc"),
+        (b"", "-1"),
+    ],
+    ids=["not-utf8", "nested-5000", "not-an-object", "length-abc", "length-negative"],
 )
-def test_stub_rejects_bad_body_before_recording_it(body):
+def test_stub_rejects_bad_body_before_recording_it(body, length):
     with StubLLMServer(["first", "second"]) as stub:
-        url = stub.base_url + "/chat/completions"
-        reply = requests.post(url, data=body, timeout=5)
-        assert reply.status_code == 400
+        conn = http.client.HTTPConnection("127.0.0.1", stub.port, timeout=3)
+        try:
+            headers = {} if length is None else {"Content-Length": length}
+            conn.request("POST", "/v1/chat/completions", body, headers)
+            assert conn.getresponse().status == 400
+        finally:
+            conn.close()
         assert stub.requests == []
         assert call_llm(_config(stub), "p", 0.0) == "first"
 
 
+def _dead_port() -> int:
+    """A loopback port nothing listens on."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
 def test_transport_retry_with_backoff():
-    # Grab a port nothing is listening on, then watch the retry schedule.
-    probe = socket.socket()
-    probe.bind(("127.0.0.1", 0))
-    dead_port = probe.getsockname()[1]
-    probe.close()
     waits: list[float] = []
     config = EndpointConfig(
-        base_url=f"http://127.0.0.1:{dead_port}/v1",
+        base_url=f"http://127.0.0.1:{_dead_port()}/v1",
         model="m",
         timeout_s=1.0,
         attempts=3,
@@ -106,6 +124,147 @@ def test_transport_retry_with_backoff():
     with pytest.raises(TransportError, match="after 3 attempts"):
         call_llm(config, "p", 0.0, sleep=waits.append)
     assert waits == [0.25, 0.5]
+
+
+@contextlib.contextmanager
+def _raw_server(reply: bytes | None):
+    """A loopback endpoint that reads each request whole, then sends `reply`
+    as raw bytes and closes; with `reply=None` it never answers.  Yields the
+    base URL and the list of request paths it read."""
+    paths: list[str] = []
+    done = threading.Event()
+
+    class Handler(BaseHTTPRequestHandler):
+        def log_message(self, *args):
+            pass
+
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            paths.append(self.path)
+            if reply is None:
+                done.wait(10)
+            else:
+                self.wfile.write(reply)
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}/v1", paths
+    finally:
+        done.set()
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def test_silent_server_is_transport_error_after_every_attempt():
+    waits: list[float] = []
+    with _raw_server(None) as (base_url, paths):
+        config = EndpointConfig(base_url, "m", timeout_s=0.5, attempts=3, backoff_s=0.25)
+        with pytest.raises(TransportError, match="after 3 attempts"):
+            call_llm(config, "p", 0.0, sleep=waits.append)
+        assert len(paths) == 3
+    assert waits == [0.25, 0.5]
+
+
+@pytest.mark.parametrize(
+    "reply, error, match, posts",
+    [
+        (
+            b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{\"choices\": [",
+            TransportError,
+            "after 2 attempts",
+            2,
+        ),
+        (
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+            b"Content-Length: 10\r\n\r\n\xff\xfe\xfd not u8",
+            ApiError,
+            "malformed completion body",
+            1,
+        ),
+        (
+            b"HTTP/1.1 307 Temporary Redirect\r\nLocation: /v2/chat/completions\r\n"
+            b"Content-Length: 0\r\n\r\n",
+            ApiError,
+            "HTTP 307",
+            1,
+        ),
+    ],
+    ids=["closed-mid-reply", "not-utf8-200", "redirect-307"],
+)
+def test_raw_reply_outcome(reply, error, match, posts):
+    with _raw_server(reply) as (base_url, paths):
+        config = EndpointConfig(base_url, "m", timeout_s=5.0, attempts=2, backoff_s=0.0)
+        with pytest.raises(error, match=match):
+            call_llm(config, "p", 0.0, sleep=lambda s: None)
+        assert len(paths) == posts
+
+
+def test_header_refused_by_http_client_is_transport_error():
+    waits: list[float] = []
+    with StubLLMServer(["ok"]) as stub:
+        with pytest.raises(TransportError, match="after 2 attempts"):
+            call_llm(_config(stub, api_key="sk\nx", attempts=2), "p", 0.0, sleep=waits.append)
+        assert stub.requests == []
+    assert waits == [1.0]
+
+
+@pytest.mark.parametrize(
+    "base_url",
+    ["file://{tmp}", "ftp://127.0.0.1:{port}/v1", "127.0.0.1:{port}/v1"],
+    ids=["file", "ftp", "no-scheme"],
+)
+def test_non_http_base_url_opens_nothing(tmp_path, base_url):
+    # what a file:// URL would read if urllib were let open it
+    envelope = {"choices": [{"message": {"content": "read from disk"}}]}
+    (tmp_path / "chat").mkdir()
+    (tmp_path / "chat" / "completions").write_text(json.dumps(envelope))
+    waits: list[float] = []
+    config = EndpointConfig(base_url.format(tmp=tmp_path, port=_dead_port()), "m")
+    with pytest.raises(TransportError, match="must be http:// or https://"):
+        call_llm(config, "p", 0.0, sleep=waits.append)
+    assert waits == []
+
+
+def test_non_finite_temperature_fails_before_any_request():
+    waits: list[float] = []
+    with StubLLMServer(["ok"]) as stub:
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            call_llm(_config(stub), "p", float("nan"), sleep=waits.append)
+        assert stub.requests == []
+    assert waits == []
+
+
+# urllib reads the proxy variables when a process first opens a URL, so each
+# case calls the endpoint from a fresh process.
+CALL_IN_CHILD = """
+import sys
+from scenekit.promptgen.client import EndpointConfig, call_llm
+print(call_llm(EndpointConfig(sys.argv[1], "m", timeout_s=5.0, attempts=1), "p", 0.0))
+"""
+
+
+@pytest.mark.parametrize("no_proxy, via_proxy", [("", True), ("127.0.0.1", False)])
+def test_http_proxy_comes_from_environment(no_proxy, via_proxy):
+    env = {k: v for k, v in os.environ.items() if not k.lower().endswith("_proxy")}
+    unreachable = f"http://127.0.0.1:{_dead_port()}/v1"
+    with StubLLMServer(["via the proxy"]) as stub:
+        env.update(http_proxy=f"http://127.0.0.1:{stub.port}", no_proxy=no_proxy)
+        child = subprocess.run(
+            [sys.executable, "-c", CALL_IN_CHILD, unreachable],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert len(stub.requests) == int(via_proxy)
+    if via_proxy:
+        assert child.stdout == "via the proxy\n", child.stderr
+    else:
+        assert "TransportError: could not reach" in child.stderr
 
 
 # --- generation loop ----------------------------------------------------

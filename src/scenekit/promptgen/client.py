@@ -5,7 +5,8 @@ retried with exponential backoff; HTTP error statuses are not retried, since
 a 4xx will not get better by waiting and quota errors (429) should surface
 immediately.  Proxies and certificates are `urllib.request`'s defaults: the
 `*_proxy` environment variables as they stand at the process's first request,
-and the system CA store or `SSL_CERT_FILE`.
+and the system CA store or `SSL_CERT_FILE`.  A 307/308 reply is an ApiError;
+a 301/302/303 is followed as a GET without the API key.
 """
 
 from __future__ import annotations
@@ -80,12 +81,14 @@ def call_llm(
         payload["seed"] = seed
     body = json.dumps(payload, allow_nan=False).encode()
     headers = {"Content-Type": "application/json"}
-    if config.api_key:
-        headers["Authorization"] = f"Bearer {config.api_key}"
 
     last_exc: Exception | None = None
     for attempt in range(1, config.attempts + 1):
         request = urllib.request.Request(url, body, headers, method="POST")
+        if config.api_key:
+            # urllib follows a 301/302/303 as a GET to any host, copying the
+            # plain headers; an unredirected one stays with this request
+            request.add_unredirected_header("Authorization", f"Bearer {config.api_key}")
         try:
             try:
                 with urllib.request.urlopen(request, timeout=config.timeout_s) as resp:

@@ -130,8 +130,8 @@ def test_transport_retry_with_backoff():
 def _raw_server(reply: bytes | None):
     """A loopback endpoint that reads each request whole, then sends `reply`
     as raw bytes and closes; with `reply=None` it never answers.  Yields the
-    base URL and the list of request paths it read."""
-    paths: list[str] = []
+    base URL and the list of (method, path, Authorization header) it read."""
+    seen: list[tuple[str, str, str | None]] = []
     done = threading.Event()
 
     class Handler(BaseHTTPRequestHandler):
@@ -139,18 +139,20 @@ def _raw_server(reply: bytes | None):
             pass
 
         def do_POST(self):
-            self.rfile.read(int(self.headers["Content-Length"]))
-            paths.append(self.path)
+            self.rfile.read(int(self.headers.get("Content-Length", 0)))
+            seen.append((self.command, self.path, self.headers["Authorization"]))
             if reply is None:
                 done.wait(10)
             else:
                 self.wfile.write(reply)
 
+        do_GET = do_POST
+
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        yield f"http://127.0.0.1:{server.server_address[1]}/v1", paths
+        yield f"http://127.0.0.1:{server.server_address[1]}/v1", seen
     finally:
         done.set()
         server.shutdown()
@@ -161,11 +163,11 @@ def _raw_server(reply: bytes | None):
 
 def test_silent_server_is_transport_error_after_every_attempt():
     waits: list[float] = []
-    with _raw_server(None) as (base_url, paths):
+    with _raw_server(None) as (base_url, seen):
         config = EndpointConfig(base_url, "m", timeout_s=0.5, attempts=3, backoff_s=0.25)
         with pytest.raises(TransportError, match="after 3 attempts"):
             call_llm(config, "p", 0.0, sleep=waits.append)
-        assert len(paths) == 3
+        assert len(seen) == 3
     assert waits == [0.25, 0.5]
 
 
@@ -196,11 +198,29 @@ def test_silent_server_is_transport_error_after_every_attempt():
     ids=["closed-mid-reply", "not-utf8-200", "redirect-307"],
 )
 def test_raw_reply_outcome(reply, error, match, posts):
-    with _raw_server(reply) as (base_url, paths):
+    with _raw_server(reply) as (base_url, seen):
         config = EndpointConfig(base_url, "m", timeout_s=5.0, attempts=2, backoff_s=0.0)
         with pytest.raises(error, match=match):
             call_llm(config, "p", 0.0, sleep=lambda s: None)
-        assert len(paths) == posts
+        assert len(seen) == posts
+
+
+@pytest.mark.parametrize("code", [301, 302, 303])
+def test_redirect_to_another_host_drops_the_api_key(code):
+    envelope = json.dumps({"choices": [{"message": {"content": "moved"}}]}).encode()
+    ok = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(envelope) + envelope
+    with _raw_server(ok) as (target_url, target_seen):
+        # the same loopback server, reached by another host name
+        elsewhere = target_url.replace("127.0.0.1", "localhost", 1)
+        redirect = (
+            f"HTTP/1.1 {code} Moved\r\nLocation: {elsewhere}/chat/completions\r\n"
+            "Content-Length: 0\r\n\r\n"
+        ).encode()
+        with _raw_server(redirect) as (base_url, seen):
+            config = EndpointConfig(base_url, "m", api_key="sk-secret", timeout_s=5.0, attempts=1)
+            assert call_llm(config, "p", 0.0) == "moved"
+    assert seen == [("POST", "/v1/chat/completions", "Bearer sk-secret")]
+    assert target_seen == [("GET", "/v1/chat/completions", None)]
 
 
 def test_header_refused_by_http_client_is_transport_error():

@@ -18,12 +18,13 @@ import concurrent.futures
 import json
 import math
 import os
+import signal
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from scenekit.condgen.bundle import BundleFrame, export_bundle, usable_cpus, verify_bundle
+from scenekit.condgen.bundle import BundleFrame, export_bundle, thread_map, usable_cpus
+from scenekit.condgen.bundle import verify_bundle, write_frame
 from scenekit.condgen.diffusion import DEFAULT_STEPS, DEFAULT_STRENGTH, MockDenoiser, run_diffusion
 from scenekit.dsl import compile_script
 from scenekit.dsl.diagnostics import has_errors
@@ -37,7 +38,6 @@ from scenekit.promptgen.stubserver import StubLLMServer
 from scenekit.promptgen.template import ScenarioType
 from scenekit.render.cameras import Camera, CameraError, camera_from_dict, camera_to_dict, default_camera
 from scenekit.render.combine import combine_controls, load_weights, normalize_modality
-from scenekit.render.formats import write_pfm, write_pgm
 from scenekit.render.raster import edge_from_seg, prepare_static, render_frame
 from scenekit.sim.engine import MAX_STEPS, PlacementError, SimConfig, run
 from scenekit.sim.requirements import check_requirements
@@ -304,16 +304,15 @@ def _control_maps(frame, world, camera, static, weights):
 
 def cmd_render(args) -> int:
     trace, world, camera, weights = _render_inputs(args)
-    out = _make_out(args.out) / "frames"
-    out.mkdir(exist_ok=True)
+    out = _make_out(args.out)
+    (out / "frames").mkdir(exist_ok=True)
     static = prepare_static(world, camera)
-    for index, frame in enumerate(trace.frames):
-        seg, depth, edge, combined = _control_maps(frame, world, camera, static, weights)
-        write_pgm(out / f"{index:06d}.seg.pgm", seg)
-        write_pfm(out / f"{index:06d}.depth.pfm", depth)
-        write_pgm(out / f"{index:06d}.edge.pgm", edge)
-        write_pfm(out / f"{index:06d}.combined.pfm", combined)
-    _print_json({"frames": len(trace.frames), "out": str(out)})
+
+    def render(index: int) -> None:
+        write_frame(out, index, _control_maps(trace.frames[index], world, camera, static, weights))
+
+    thread_map(render, range(len(trace.frames)), usable_cpus())
+    _print_json({"frames": len(trace.frames), "out": str(out / "frames")})
     return EXIT_OK
 
 
@@ -324,10 +323,8 @@ def _export_trace(
 
     The trace is serialized first, so one that cannot be (TraceError) fails
     before any frame is rendered or any file written.  Frames are rendered
-    and diffused on up to `threads` threads (the numpy passes release the
-    GIL), in frame order; a failing frame raises the error of the lowest
-    failing index, as the serial loop would, and cancels the frames not yet
-    started."""
+    and diffused by `thread_map` on `threads` threads, so a failing frame
+    raises the error of the lowest failing index, as a serial loop would."""
     trace_json = trace_json_bytes(trace)
     static = prepare_static(world, camera)
 
@@ -341,13 +338,7 @@ def _export_trace(
         )
         return BundleFrame(seg=seg, depth=depth, edge=edge, combined=combined, latent_final=latent)
 
-    indices = range(len(trace.frames))
-    threads = min(threads, len(indices))
-    if threads <= 1:
-        frames = list(map(render, indices))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            frames = list(pool.map(render, indices))
+    frames = thread_map(render, range(len(trace.frames)), threads)
     config = {
         "steps": steps,
         "strength": strength,
@@ -544,13 +535,18 @@ def cmd_stub_llm(args) -> int:
         server.start()
     except (OSError, OverflowError) as e:  # address in use or unknown; port past 65535
         raise CliError(f"cannot serve on {args.host}:{args.port}: {e}") from e
-    print(json.dumps({"base_url": server.base_url}), flush=True)
+    # both raise KeyboardInterrupt, also in a background job of a non-interactive
+    # shell, which starts with SIGINT ignored; set before anyone knows the URL
+    previous = {s: signal.signal(s, signal.default_int_handler) for s in (signal.SIGINT, signal.SIGTERM)}
     try:
+        print(json.dumps({"base_url": server.base_url}), flush=True)
         while True:
             time.sleep(3600)
     except KeyboardInterrupt:
         return EXIT_OK
     finally:
+        for s, handler in previous.items():
+            signal.signal(s, handler)
         server.stop()
 
 
@@ -640,6 +636,9 @@ def main(argv: list[str] | None = None) -> int:
         print(str(e), file=sys.stderr)
         return EXIT_ENV
     except BrokenPipeError:
+        return EXIT_ENV
+    except OSError as e:  # an output path in the way, a full disk
+        print(f"cannot complete {args.command}: {e}", file=sys.stderr)
         return EXIT_ENV
 
 

@@ -21,8 +21,6 @@ import numpy as np
 
 from scenekit.jsonio import read_json
 from scenekit.render.formats import encode_pfm, encode_pgm
-from scenekit.sim.engine import Trace
-from scenekit.sim.traceio import trace_json_bytes
 
 
 class BundleError(Exception):
@@ -44,18 +42,14 @@ class BundleFrame:
     latent_final: np.ndarray  # float32 output of the denoising loop
 
 
-_RASTER_NAMES = ("seg", "depth", "edge", "combined", "latent_final")
-
-
-def _frame_shape(frame: BundleFrame, index: int) -> tuple[int, ...]:
-    shapes = {name: getattr(frame, name).shape for name in _RASTER_NAMES}
-    first = shapes["seg"]
-    for name, shape in shapes.items():
-        if shape != first:
-            raise InconsistentDims(
-                f"frame {index}: raster {name!r} has shape {shape}, expected {first}"
-            )
-    return first
+# (BundleFrame field, file name, encoder) of each raster a frame writes, in order
+_FILES = (
+    ("seg", "seg.pgm", encode_pgm),
+    ("depth", "depth.pfm", encode_pfm),
+    ("edge", "edge.pgm", encode_pgm),
+    ("combined", "combined.pfm", encode_pfm),
+    ("latent_final", "latent_final.pfm", encode_pfm),
+)
 
 
 def export_bundle(
@@ -63,7 +57,7 @@ def export_bundle(
     prompt: str,
     config: dict,
     out_dir: str | Path,
-    trace: Trace | bytes | None = None,
+    trace: bytes | None = None,
 ) -> dict:
     """Write the bundle layout and return its manifest.
 
@@ -72,27 +66,28 @@ def export_bundle(
     latent_final.pfm}.  The manifest maps the relative path of every file
     this export wrote to the sha256 hex digest of the bytes written, so
     nothing is read back, and files left in `out_dir` by an earlier, longer
-    export stay unlisted and fail `verify_bundle`.  `trace` is a Trace or
-    its `trace_json_bytes`; a Trace that cannot be serialized raises
-    TraceError before anything is written.  The frames are written and
-    hashed in one contiguous chunk per usable CPU.
+    export stay unlisted and fail `verify_bundle`.  `trace` is a trace's
+    `trace_json_bytes`.  The frames are written and hashed in one contiguous
+    chunk per usable CPU.
     """
     if not frames:
         raise BundleError("bundle needs at least one frame")
     if not prompt:
         raise BundleError("prompt must be non-empty")
-    shape = _frame_shape(frames[0], 0)
-    for index, frame in enumerate(frames[1:], start=1):
-        if _frame_shape(frame, index) != shape:
-            raise InconsistentDims(
-                f"frame {index}: shape {_frame_shape(frame, index)} differs from frame 0 {shape}"
-            )
+    shape = frames[0].seg.shape
+    for index, frame in enumerate(frames):
+        for field, _, _ in _FILES:
+            found = getattr(frame, field).shape
+            if found != shape:
+                raise InconsistentDims(
+                    f"frame {index}: raster {field!r} has shape {found}, expected {shape}"
+                )
     small = {
         "prompt.txt": prompt.encode("utf-8"),
         "config.json": (json.dumps(config, indent=2, sort_keys=True) + "\n").encode("ascii"),
     }
     if trace is not None:
-        small["trace.json"] = trace_json_bytes(trace) if isinstance(trace, Trace) else trace
+        small["trace.json"] = trace
 
     out = Path(out_dir)
     (out / "frames").mkdir(parents=True, exist_ok=True)
@@ -105,20 +100,23 @@ def export_bundle(
 
 def _write_frames(out: Path, numbered: list[tuple[int, BundleFrame]]) -> list[tuple[str, str]]:
     """Write each (index, frame)'s rasters; (relative path, digest) pairs."""
-    written = []
-    for index, frame in numbered:
-        frame_dir = f"frames/{index:06d}"
-        (out / frame_dir).mkdir(exist_ok=True)
-        for name, encode, raster in (
-            ("seg.pgm", encode_pgm, frame.seg),
-            ("depth.pfm", encode_pfm, frame.depth),
-            ("edge.pgm", encode_pgm, frame.edge),
-            ("combined.pfm", encode_pfm, frame.combined),
-            ("latent_final.pfm", encode_pfm, frame.latent_final),
-        ):
-            rel = f"{frame_dir}/{name}"
-            written.append((rel, _write_hashed(out / rel, *encode(raster))))
-    return written
+    return [
+        pair
+        for index, frame in numbered
+        for pair in write_frame(out, index, [getattr(frame, field) for field, _, _ in _FILES])
+    ]
+
+
+def write_frame(out: Path, index: int, rasters) -> list[tuple[str, str]]:
+    """Write `rasters`, given in `_FILES` order and stopping where they stop,
+    to frames/NNNNNN/ under `out` (its frames/ must exist); the (relative
+    path, sha256 digest) pair of each file written."""
+    frame_dir = f"frames/{index:06d}"
+    (out / frame_dir).mkdir(exist_ok=True)
+    return [
+        (f"{frame_dir}/{name}", _write_hashed(out / frame_dir / name, *encode(raster)))
+        for (_, name, encode), raster in zip(_FILES, rasters)
+    ]
 
 
 def _write_hashed(path: Path, header: bytes, payload: bytes | memoryview = b"") -> str:
@@ -141,17 +139,23 @@ def usable_cpus() -> int:
 
 
 def _map_chunks(work, items: list) -> list:
-    """`work(chunk)` on one contiguous chunk of `items` per usable CPU, in
-    threads (hashlib and file I/O release the GIL), results concatenated in
-    `items` order; inline when there is one chunk.  One task per file instead
-    would cost more in dispatch than small files take to hash."""
-    count = min(usable_cpus(), len(items))
-    if count <= 1:
-        return work(items)
+    """`work(chunk)` on one contiguous chunk of `items` per usable CPU,
+    results concatenated in `items` order.  One task per file instead would
+    cost more in dispatch than small files take to hash."""
+    count = max(1, min(usable_cpus(), len(items)))
     bounds = [len(items) * k // count for k in range(count + 1)]
-    with ThreadPoolExecutor(max_workers=count) as pool:
-        parts = list(pool.map(work, [items[a:b] for a, b in zip(bounds, bounds[1:])]))
-    return [result for part in parts for result in part]
+    chunks = [items[a:b] for a, b in zip(bounds, bounds[1:])]
+    return [result for part in thread_map(work, chunks, count) for result in part]
+
+
+def thread_map(work, items, threads: int) -> list:
+    """`[work(item) for item in items]` on up to `threads` threads; inline on
+    one, so nothing after a failing item starts.  On more, the first failing
+    item in order raises, and the items not yet started are cancelled."""
+    if min(threads, len(items)) <= 1:
+        return [work(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(work, items))
 
 
 def verify_bundle(bundle_dir: str | Path) -> list[str]:

@@ -58,20 +58,24 @@ def call_llm(
 ) -> str:
     """Send one user prompt, return the assistant text.
 
-    Raises TransportError when the endpoint stays unreachable or the base URL
-    is not http(s), ApiError on HTTP failure or a malformed envelope,
-    EmptyResponseError when content is blank, and ValueError for a
-    non-finite temperature.  `sleep` is injectable so tests can skip real
-    backoff waits.
+    Raises TransportError when the endpoint stays unreachable, and at once,
+    without a retry, when the base URL is not http(s), its port is not a port
+    number, or http.client refuses a header; ApiError on HTTP failure or a
+    malformed envelope, EmptyResponseError when content is blank, and
+    ValueError for a non-finite temperature.  `sleep` is injectable so tests
+    can skip real backoff waits.
     """
     url = config.base_url.rstrip("/") + "/chat/completions"
     try:
-        scheme = urllib.parse.urlsplit(url).scheme
-    except ValueError:  # e.g. an unclosed "[" in the host
+        parts = urllib.parse.urlsplit(url)
+        _, scheme = parts.port, parts.scheme  # reading .port checks the port
+    except ValueError:  # a port that is no number or past 65535, an unclosed "[" in the host
         scheme = ""
     if scheme not in ("http", "https"):
         # urllib would read a file:// URL from disk: refuse before any attempt
-        raise TransportError(f"cannot reach {url}: the base URL must be http:// or https://")
+        raise TransportError(
+            f"cannot reach {url}: the base URL must be http:// or https://, any port 0-65535"
+        )
     payload: dict = {
         "model": config.model,
         "messages": [{"role": "user", "content": prompt}],
@@ -96,8 +100,9 @@ def call_llm(
             except urllib.error.HTTPError as e:  # an OSError too, so caught first
                 with e:
                     status, reply = e.code, e.read()
-        # ValueError: a header http.client refuses, such as a key with a newline
-        except (OSError, http.client.HTTPException, ValueError) as e:
+        except ValueError:  # e.g. an API key holding a newline; the message would quote it
+            raise TransportError(f"cannot send a request to {url}: http.client refused a header") from None
+        except (OSError, http.client.HTTPException) as e:
             last_exc = e
             if attempt < config.attempts:
                 sleep(config.backoff_s * 2 ** (attempt - 1))

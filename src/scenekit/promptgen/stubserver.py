@@ -12,6 +12,8 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from scenekit.jsonio import parse_json
+
 
 class StubLLMServer:
     def __init__(self, responses: list, host: str = "127.0.0.1", port: int = 0):
@@ -67,9 +69,10 @@ class StubLLMServer:
                 if not length.isdecimal():  # int() would take "-1", " 1" or "1_0"
                     self.send_error(400, "Content-Length is not a byte count")
                     return
+                raw = self.rfile.read(int(length))
                 try:
-                    payload = json.loads(self.rfile.read(int(length)) or b"{}")
-                except (ValueError, RecursionError):  # not UTF-8, not JSON, too deep
+                    payload = parse_json(raw.decode("utf-8") or "{}", ValueError, "")
+                except ValueError:  # not UTF-8, not JSON, nested too deep
                     payload = None
                 if not isinstance(payload, dict):
                     self.send_error(400, "body is not a JSON object")

@@ -1,9 +1,10 @@
 """Raster file formats: binary PGM for byte rasters, PFM for float rasters.
 
-Both formats round-trip bit-exactly and need no codec dependencies.  PGM
-(P5) stores one byte per pixel top-down; PFM stores float32 rows bottom-up
-with a negative scale marking little-endian data, per the format's
-convention.
+Readers and encoders only: an encoder returns a file's (header, payload),
+and `condgen.bundle.write_frame` writes and hashes the two.  Both formats
+round-trip bit-exactly and need no codec dependencies.  PGM (P5) stores one
+byte per pixel top-down; PFM stores float32 rows bottom-up with a negative
+scale marking little-endian data, per the format's convention.
 """
 
 from __future__ import annotations
@@ -22,12 +23,6 @@ def _byte_view(data: np.ndarray) -> memoryview:
     return memoryview(data.reshape(-1).view(np.uint8))
 
 
-def _write(path: str | Path, header: bytes, payload: memoryview) -> None:
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(payload)
-
-
 def encode_pgm(raster: np.ndarray) -> tuple[bytes, memoryview]:
     """(header, payload) of a 2D uint8 array as a binary (P5) PGM with
     maxval 255; the file is the two written back to back."""
@@ -36,11 +31,6 @@ def encode_pgm(raster: np.ndarray) -> tuple[bytes, memoryview]:
         raise FormatError(f"PGM needs a 2D raster, got shape {raster.shape}")
     h, w = data.shape
     return f"P5\n{w} {h}\n255\n".encode("ascii"), _byte_view(data)
-
-
-def write_pgm(path: str | Path, raster: np.ndarray) -> None:
-    """Write a 2D uint8 array as a binary (P5) PGM with maxval 255."""
-    _write(path, *encode_pgm(raster))
 
 
 def _read_header_tokens(f, count: int) -> list[bytes]:
@@ -89,11 +79,6 @@ def encode_pfm(raster: np.ndarray) -> tuple[bytes, memoryview]:
     h, w = data.shape
     # PFM rows run bottom to top.
     return f"Pf\n{w} {h}\n-1.0\n".encode("ascii"), _byte_view(np.ascontiguousarray(data[::-1]))
-
-
-def write_pfm(path: str | Path, raster: np.ndarray) -> None:
-    """Write a 2D float array as a grayscale little-endian PFM."""
-    _write(path, *encode_pfm(raster))
 
 
 def read_pfm(path: str | Path) -> np.ndarray:

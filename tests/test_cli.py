@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import signal
 import socket
 import subprocess
 import sys
@@ -445,9 +446,9 @@ def test_render_writes_four_rasters_per_frame(tmp_path, short_trace):
     assert code == 0
     trace = json.loads(short_trace.read_text())
     n = len(trace["frames"])
-    files = sorted(p.name for p in (tmp_path / "r" / "frames").iterdir())
+    files = sorted(p.relative_to(tmp_path / "r").as_posix() for p in (tmp_path / "r").rglob("*.*"))
     assert len(files) == n * 4
-    assert f"{n - 1:06d}.combined.pfm" in files
+    assert f"frames/{n - 1:06d}/combined.pfm" in files
 
 
 def test_render_preset_d_is_pixel_mean(tmp_path, short_trace):
@@ -469,10 +470,10 @@ def test_render_preset_d_is_pixel_mean(tmp_path, short_trace):
         ]
     )
     assert code == 0
-    frames = tmp_path / "r" / "frames"
-    depth = read_pfm(frames / "000000.depth.pfm")
-    edge = read_pgm(frames / "000000.edge.pgm").astype(np.float32)
-    combined = read_pfm(frames / "000000.combined.pfm")
+    frame = tmp_path / "r" / "frames" / "000000"
+    depth = read_pfm(frame / "depth.pfm")
+    edge = read_pgm(frame / "edge.pgm").astype(np.float32)
+    combined = read_pfm(frame / "combined.pfm")
     depth_n = 1.0 - np.clip(depth / 100.0, 0.0, 1.0)
     assert np.allclose(combined, (depth_n + edge) / 2.0, atol=1e-6)
 
@@ -735,11 +736,30 @@ def test_render_and_bundle_write_identical_rasters(tmp_path, short_trace):
     assert main(["render", *shared, "-o", str(tmp_path / "r")]) == 0
     assert main(["bundle", *shared, "--steps", "2", "-o", str(tmp_path / "b")]) == 0
     n = len(json.loads(short_trace.read_text())["frames"])
-    for index in range(n):
-        for name in ("seg.pgm", "depth.pfm", "edge.pgm", "combined.pfm"):
-            rendered = tmp_path / "r" / "frames" / f"{index:06d}.{name}"
-            bundled = tmp_path / "b" / "frames" / f"{index:06d}" / name
-            assert rendered.read_bytes() == bundled.read_bytes(), (index, name)
+    rendered, bundled = _tree(tmp_path / "r"), _tree(tmp_path / "b")
+    assert len(rendered) == n * 4
+    for rel, data in rendered.items():
+        assert data == bundled[rel], rel
+    assert not any(rel.endswith("latent_final.pfm") for rel in rendered)
+    assert "manifest.json" not in rendered and "manifest.json" in bundled
+
+
+def test_render_output_does_not_depend_on_the_thread_count(tmp_path, short_trace, monkeypatch):
+    camera = _small_camera(tmp_path, center=(30.0, 0.0))
+    trees = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, to shake out races
+    try:
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+            out = tmp_path / f"cpus{cpus}"
+            argv = ["render", str(short_trace), "--map", "straight", "--camera", camera, "-o", str(out)]
+            assert main(argv) == 0
+            trees.append(_tree(out))
+    finally:
+        sys.setswitchinterval(interval)
+    assert trees[0] == trees[1] == trees[2]
+    assert "frames/000000/seg.pgm" in trees[0]
 
 # --- pipeline -----------------------------------------------------------
 
@@ -1101,6 +1121,19 @@ def test_pipeline_script_path_with_nul_is_env_failure(tmp_path, capsys):
     assert not out.exists()
 
 
+def _writing_argv(command, out, stub, tmp_path, short_trace, variation_script):
+    """A small run of `command` that writes to the output directory `out`."""
+    camera = ["--camera", _small_camera(tmp_path, center=(30.0, 0.0))]
+    if command == "pipeline":
+        return _pipeline_args(tmp_path, variation_script, out, ["-n", "1", "--steps", "1"])
+    return {
+        "gen": ["gen", "--base-url", stub.base_url, "--model", "m", "--type", "vehicle-cut-in"],
+        "sim": ["sim", str(variation_script), "--map", "straight", "--max-duration", "1"],
+        "render": ["render", str(short_trace), "--map", "straight", *camera],
+        "bundle": ["bundle", str(short_trace), "--map", "straight", *camera, "--steps", "1"],
+    }[command] + ["-o", str(out)]
+
+
 @pytest.mark.parametrize("command", ["gen", "sim", "render", "bundle", "pipeline"])
 @pytest.mark.parametrize("below", [False, True], ids=["file", "under-file"])
 def test_output_that_cannot_be_created_is_env_failure(
@@ -1109,21 +1142,44 @@ def test_output_that_cannot_be_created_is_env_failure(
     blocker = tmp_path / "blocker"
     blocker.write_text("a regular file")
     out = blocker / "sub" if below else blocker
-    camera = ["--camera", _small_camera(tmp_path, center=(30.0, 0.0))]
     with StubLLMServer([GOOD_RESPONSE]) as stub:
-        argv = {
-            "gen": ["gen", "--base-url", stub.base_url, "--model", "m", "--type", "vehicle-cut-in"],
-            "sim": ["sim", str(variation_script), "--map", "straight", "--max-duration", "1"],
-            "render": ["render", str(short_trace), "--map", "straight", *camera],
-            "bundle": ["bundle", str(short_trace), "--map", "straight", *camera, "--steps", "1"],
-            "pipeline": _pipeline_args(tmp_path, variation_script, out, ["-n", "1"])[:-2],
-        }[command]
+        argv = _writing_argv(command, out, stub, tmp_path, short_trace, variation_script)
         capsys.readouterr()
-        assert main([*argv, "-o", str(out)]) == 2
+        assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"cannot create output directory {str(out)!r}: ")
     assert err.count("\n") == 1  # one line, no traceback
     assert blocker.read_text() == "a regular file"
+
+
+@pytest.mark.parametrize(
+    "command, blocked, kind",
+    [
+        ("gen", "transcript.json", "dir"),
+        ("sim", "trace.json", "dir"),
+        ("render", "frames", "file"),
+        ("bundle", "frames", "file"),
+        ("bundle", "prompt.txt", "dir"),
+        ("pipeline", "script.scn", "dir"),
+        ("pipeline", "summary.json", "dir"),
+    ],
+)
+def test_output_file_that_cannot_be_written_is_env_failure(
+    tmp_path, short_trace, variation_script, capsys, command, blocked, kind
+):
+    out = tmp_path / "out"
+    out.mkdir()
+    if kind == "dir":
+        (out / blocked).mkdir()
+    else:
+        (out / blocked).write_text("a regular file")
+    with StubLLMServer([GOOD_RESPONSE]) as stub:
+        argv = _writing_argv(command, out, stub, tmp_path, short_trace, variation_script)
+        capsys.readouterr()
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err  # one line
+    assert str(out / blocked) in err
 
 
 @pytest.mark.parametrize("flags,name", BAD_DIFFUSION_FLAGS)
@@ -1250,6 +1306,29 @@ def test_stub_llm_serves_scripted_responses(tmp_path):
         proc.terminate()
         proc.wait(timeout=10)
         proc.stdout.close()
+
+
+@pytest.mark.parametrize("stop", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+def test_stub_llm_stops_cleanly_on_a_signal(stop):
+    # as a background job of a non-interactive shell starts it: SIGINT ignored
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "scenekit.cli", "stub-llm"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+    )
+    try:
+        assert json.loads(proc.stdout.readline())["base_url"].startswith("http://127.0.0.1:")
+        proc.send_signal(stop)
+        assert proc.wait(timeout=10) == 0
+        assert proc.stderr.read() == ""
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
 
 
 def _interrupt(seconds):

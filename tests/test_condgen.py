@@ -33,6 +33,7 @@ from scenekit.render.combine import DimensionMismatch
 from scenekit.dsl.nodes import AgentClass
 from scenekit.render.formats import read_pfm, read_pgm
 from scenekit.sim.engine import AgentState, Trace
+from scenekit.sim.traceio import trace_json_bytes
 
 
 class SpyBackend:
@@ -428,7 +429,7 @@ def test_trace_included_and_hashed(tmp_path):
 
     state = AgentState("ego", AgentClass.CAR, 1.0, 2.0, 0.0, 5.0, 4.5, 2.0, "cruising")
     trace = Trace(map_name="straight", dt=0.05, frames=[[state]], events=[], termination="timeout")
-    manifest = export_bundle([_frame(0)], "p", CONFIG, tmp_path / "b", trace=trace)
+    manifest = export_bundle([_frame(0)], "p", CONFIG, tmp_path / "b", trace=trace_json_bytes(trace))
     assert "trace.json" in manifest["files"]
     back = read_trace_json(tmp_path / "b" / "trace.json")
     assert back.map_name == "straight"
@@ -436,12 +437,14 @@ def test_trace_included_and_hashed(tmp_path):
     assert verify_bundle(tmp_path / "b") == []
 
 
-_TRACE = Trace(
-    map_name="straight",
-    dt=0.05,
-    frames=[[AgentState("ego", AgentClass.CAR, 1.0, 2.0, 0.0, 5.0, 4.5, 2.0, "cruising")]],
-    events=[],
-    termination="timeout",
+_TRACE = trace_json_bytes(
+    Trace(
+        map_name="straight",
+        dt=0.05,
+        frames=[[AgentState("ego", AgentClass.CAR, 1.0, 2.0, 0.0, 5.0, 4.5, 2.0, "cruising")]],
+        events=[],
+        termination="timeout",
+    )
 )
 
 

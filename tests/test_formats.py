@@ -3,20 +3,26 @@
 import numpy as np
 import pytest
 
-from scenekit.render.formats import FormatError, read_pfm, read_pgm, write_pfm, write_pgm
+from scenekit.render.formats import FormatError, encode_pfm, encode_pgm, read_pfm, read_pgm
+
+
+def _write(path, encoded):
+    """Write an encoder's (header, payload) back to back, as a bundle does."""
+    header, payload = encoded
+    path.write_bytes(header + bytes(payload))
 
 
 def test_pgm_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(3)
     raster = rng.integers(0, 256, size=(37, 53)).astype(np.uint8)
     path = tmp_path / "r.pgm"
-    write_pgm(path, raster)
+    _write(path, encode_pgm(raster))
     assert (read_pgm(path) == raster).all()
 
 
 def test_pgm_header_layout(tmp_path):
     path = tmp_path / "r.pgm"
-    write_pgm(path, np.zeros((2, 3), dtype=np.uint8))
+    _write(path, encode_pgm(np.zeros((2, 3), dtype=np.uint8)))
     data = path.read_bytes()
     assert data.startswith(b"P5\n3 2\n255\n")
     assert len(data) == len(b"P5\n3 2\n255\n") + 6
@@ -38,14 +44,14 @@ def test_pgm_errors(tmp_path):
     with pytest.raises(FormatError, match="pixel bytes"):
         read_pgm(path)
     with pytest.raises(FormatError, match="2D"):
-        write_pgm(tmp_path / "x.pgm", np.zeros((2, 2, 2), dtype=np.uint8))
+        encode_pgm(np.zeros((2, 2, 2), dtype=np.uint8))
 
 
 def test_pfm_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(11)
     raster = (rng.standard_normal((19, 31)) * 40.0).astype(np.float32)
     path = tmp_path / "d.pfm"
-    write_pfm(path, raster)
+    _write(path, encode_pfm(raster))
     back = read_pfm(path)
     assert back.dtype == np.float32
     assert (back == raster).all()
@@ -55,7 +61,7 @@ def test_pfm_round_trip_bit_exact(tmp_path):
 def test_pfm_rows_stored_bottom_up(tmp_path):
     raster = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
     path = tmp_path / "d.pfm"
-    write_pfm(path, raster)
+    _write(path, encode_pfm(raster))
     data = path.read_bytes()
     header = b"Pf\n2 2\n-1.0\n"
     assert data.startswith(header)

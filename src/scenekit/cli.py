@@ -36,7 +36,7 @@ from scenekit.promptgen.generate import GenerationRequest, generate_scenario
 from scenekit.promptgen.library import LibraryError, builtin_library, load_library
 from scenekit.promptgen.stubserver import StubLLMServer
 from scenekit.promptgen.template import ScenarioType
-from scenekit.render.cameras import Camera, CameraError, camera_from_dict, camera_to_dict, default_camera
+from scenekit.render.cameras import Camera, CameraError, TopDownCamera, camera_from_dict, camera_to_dict
 from scenekit.render.combine import combine_controls, load_weights, normalize_modality
 from scenekit.render.raster import edge_from_seg, prepare_static, render_frame
 from scenekit.sim.engine import MAX_STEPS, PlacementError, SimConfig, run
@@ -79,19 +79,20 @@ SETTINGS = {
     "camera": (str, None, None, "camera JSON file (default: top-down over the map)"),
     "weights": (str, "preset-a", None, "preset name or weights JSON file"),
     "prompt": (str, "sunny day", (lambda v, s: v != "", "non-empty"), "denoiser text prompt"),
-    "examples": (int, 3, _AT_LEAST_1, "few-shot example count"),
+    "examples": (int, GenerationRequest.k_examples, _AT_LEAST_1, "few-shot example count"),
     "seed": (int, 0, _AT_LEAST_0, "sampling seed"),
-    "temperature": (float, 0.7, (lambda v, s: 0 <= v < math.inf, "finite and at least 0"),
-                    "sampling temperature"),
-    "repair_limit": (int, 2, _AT_LEAST_0, "repair rounds after the first try"),
+    "temperature": (float, GenerationRequest.temperature,
+                    (lambda v, s: 0 <= v < math.inf, "finite and at least 0"), "sampling temperature"),
+    "repair_limit": (int, GenerationRequest.repair_limit, _AT_LEAST_0, "repair rounds after the first try"),
     "variations": (int, 20, _from_1_to(MAX_VARIATIONS), "variation count"),
     "steps": (int, DEFAULT_STEPS, _from_1_to(MAX_DENOISE_STEPS), "denoising steps per frame"),
     "strength": (float, DEFAULT_STRENGTH, (lambda v, s: 0 <= v <= 1, "in [0, 1]"),
                  "denoising strength"),
-    "dt": (float, 0.05, (lambda v, s: 0 < v < math.inf, "finite and above 0"),
+    "dt": (float, SimConfig.dt, (lambda v, s: 0 < v < math.inf, "finite and above 0"),
            "simulator step in seconds"),
-    "max_duration": (float, 30.0, (lambda v, s: 0 < v < math.inf and v / s.dt <= MAX_STEPS,
-                                   f"finite, above 0 and at most {MAX_STEPS} steps of --dt"),
+    "max_duration": (float, SimConfig.max_duration,
+                     (lambda v, s: 0 < v < math.inf and v / s.dt <= MAX_STEPS,
+                      f"finite, above 0 and at most {MAX_STEPS} steps of --dt"),
                      "simulated horizon in seconds"),
     "jobs": (int, min(usable_cpus(), MAX_JOBS), _from_1_to(MAX_JOBS),
              "worker processes, one variation each at a time"),
@@ -142,8 +143,7 @@ def _load_world(spec: str) -> WorldMap:
 def _load_camera(spec: str | None, world: WorldMap) -> Camera:
     if spec is None:
         anchor = world.anchors.get("center") or next(iter(world.anchors.values()), None)
-        center = (anchor.x, anchor.y) if anchor is not None else (0.0, 0.0)
-        return default_camera(center)
+        return TopDownCamera() if anchor is None else TopDownCamera(anchor.x, anchor.y)
     try:
         return camera_from_dict(read_json(spec, CameraError, ""))
     except CameraError as e:

@@ -39,14 +39,15 @@ _DEFAULT_DIMS = {
     AgentClass.BICYCLE: (1.8, 0.6),
 }
 
-# Collision names accepted by `require collision of <name>`.
-COLLISION_TYPE_NAMES = (
-    "vehicle-cyclist",
-    "vehicle-pedestrian",
-    "t-bone",
-    "rear-end",
-    "other",
-)
+
+class CollisionClass(enum.Enum):
+    """Collision taxonomy; the values are the names `require collision of` accepts."""
+
+    VEHICLE_CYCLIST = "vehicle-cyclist"
+    VEHICLE_PEDESTRIAN = "vehicle-pedestrian"
+    T_BONE = "t-bone"
+    REAR_END = "rear-end"
+    OTHER = "other"
 
 
 # --------------------------------------------------------------------------

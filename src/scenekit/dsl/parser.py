@@ -37,16 +37,17 @@ from scenekit.dsl.nodes import (
 )
 from scenekit.dsl.tokens import Token, TokenKind
 
+_CLASSES = {c.value: c for c in AgentClass}
+*_FIRST_CLASSES, _LAST_CLASS = _CLASSES
+
 RESERVED = frozenset(
     """
     param behavior new at facing ahead behind left right of by on lane with
     speed dims require terminate when collision time distance from to below
-    above always follow brake cross cut in idle stop forward
-    Range Choice Car Truck Pedestrian Bicycle
+    above always follow brake cross cut in idle stop forward Range Choice
     """.split()
+    + list(_CLASSES)
 )
-
-_CLASSES = {c.value: c for c in AgentClass}
 
 
 class _Abort(Exception):
@@ -243,12 +244,13 @@ def _parse_object(cur: _Cursor) -> ObjectDecl:
     name = cur.expect_ident("a statement keyword or object name")
     cur.expect_kind(TokenKind.EQUALS, "'='")
     cur.expect_word("new")
-    cls_tok = cur.expect_kind(TokenKind.WORD, "an agent class (Car, Truck, Pedestrian, Bicycle)")
+    cls_tok = cur.expect_kind(TokenKind.WORD, f"an agent class ({', '.join(_CLASSES)})")
     klass = _CLASSES.get(cls_tok.text)
     if klass is None:
         raise _Abort(
             cls_tok.span,
-            f"unknown agent class {cls_tok.text!r}; expected Car, Truck, Pedestrian, or Bicycle",
+            f"unknown agent class {cls_tok.text!r}; "
+            f"expected {', '.join(_FIRST_CLASSES)}, or {_LAST_CLASS}",
         )
     spatial = _parse_spatial(cur)
 

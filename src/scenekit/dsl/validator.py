@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from scenekit.dsl.diagnostics import Diagnostic, Severity, Span
 from scenekit.dsl.nodes import (
-    COLLISION_TYPE_NAMES,
     Choice,
+    CollisionClass,
     Constant,
     DistanceToEgoBelow,
     ObjectDecl,
@@ -126,13 +126,13 @@ def validate(ast: ScenarioAst) -> list[Diagnostic]:
 
     for req in ast.requirements:
         if isinstance(req, RequireCollision):
-            if req.coll_type is not None and req.coll_type not in COLLISION_TYPE_NAMES:
+            names = [c.value for c in CollisionClass]
+            if req.coll_type is not None and req.coll_type not in names:
                 diags.append(
                     _err(
                         req.span,
                         "E_UNKNOWN_COLLISION_TYPE",
-                        f"unknown collision type {req.coll_type!r}; "
-                        f"expected one of {', '.join(COLLISION_TYPE_NAMES)}",
+                        f"unknown collision type {req.coll_type!r}; expected one of {', '.join(names)}",
                     )
                 )
         elif isinstance(req, RequireEgoSpeedAbove):

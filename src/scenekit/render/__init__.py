@@ -7,7 +7,6 @@ from scenekit.render.cameras import (  # noqa: F401
     TopDownCamera,
     camera_from_dict,
     camera_to_dict,
-    default_camera,
 )
 from scenekit.render.combine import (  # noqa: F401
     PRESETS,

@@ -26,12 +26,19 @@ def _require(cond: bool, message: str) -> None:
         raise CameraError(message)
 
 
-def _require_far_plane(far_plane: float) -> None:
-    # depth is normalized by np.float32(far_plane): a plane that rounds to 0 or
-    # overflows to inf there turns every depth pixel into NaN
-    with np.errstate(over="ignore"):
-        f32 = np.float32(far_plane)
-    _require(0 < f32 < np.inf, f"far_plane must be positive and finite as a float32, got {far_plane!r}")
+def _check(camera, positive: str, float32: tuple[str, ...]) -> None:
+    """The range rules of both variants: image sides in [1, MAX_IMAGE_SIDE],
+    `positive` above 0, and each `float32` field positive and finite as a
+    float32, the type the depth raster is written in (a value that rounds to
+    0 or overflows to inf there turns depth pixels into NaN or inf)."""
+    _require(0 < camera.width <= MAX_IMAGE_SIDE and 0 < camera.height <= MAX_IMAGE_SIDE,
+             f"image sides must be in [1, {MAX_IMAGE_SIDE}]")
+    _require(getattr(camera, positive) > 0, f"{positive} must be positive")
+    for name in float32:
+        value = getattr(camera, name)
+        with np.errstate(over="ignore"):
+            f32 = np.float32(value)
+        _require(0 < f32 < np.inf, f"{name} must be positive and finite as a float32, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -45,8 +52,8 @@ class TopDownCamera:
     height of whatever covers it, with empty pixels at the far plane.
     """
 
-    center_x: float
-    center_y: float
+    center_x: float = 0.0
+    center_y: float = 0.0
     meters_per_pixel: float = 0.1
     width: int = 512
     height: int = 512
@@ -54,11 +61,7 @@ class TopDownCamera:
     far_plane: float = 100.0
 
     def __post_init__(self):
-        _require(0 < self.width <= MAX_IMAGE_SIDE and 0 < self.height <= MAX_IMAGE_SIDE,
-                 f"image sides must be in [1, {MAX_IMAGE_SIDE}]")
-        _require(self.meters_per_pixel > 0, "meters_per_pixel must be positive")
-        _require(self.ortho_height > 0, "ortho_height must be positive")
-        _require_far_plane(self.far_plane)
+        _check(self, "meters_per_pixel", ("ortho_height", "far_plane"))
 
 
 @dataclass(frozen=True)
@@ -84,10 +87,7 @@ class PinholeCamera:
     far_plane: float = 100.0
 
     def __post_init__(self):
-        _require(0 < self.width <= MAX_IMAGE_SIDE and 0 < self.height <= MAX_IMAGE_SIDE,
-                 f"image sides must be in [1, {MAX_IMAGE_SIDE}]")
-        _require(self.focal_px > 0, "focal_px must be positive")
-        _require_far_plane(self.far_plane)
+        _check(self, "focal_px", ("far_plane",))
 
     @property
     def principal(self) -> tuple[float, float]:
@@ -127,47 +127,27 @@ def camera_to_dict(camera: Camera) -> dict:
 def camera_from_dict(data: dict) -> Camera:
     """Build a camera from its JSON form; any bad value raises CameraError.
 
-    Every float field must be a finite JSON number (an integer serves), and
-    width and height JSON integers (not booleans) of at most MAX_IMAGE_SIDE.
+    Only the keys the file gives are passed on, so the dataclass holds every
+    default.  Every float field must be a finite JSON number (an integer
+    serves), and width and height JSON integers (not booleans).  A null
+    `principal` means the image centre, as an absent one does.
     """
     variant = member(data, "variant", CameraError, "camera config")
-
-    def numbers(key: str, value, count: int) -> list[float]:
-        return [float(number(v, CameraError, key)) for v in items(value, CameraError, key, count)]
-
-    def scalar(key: str, default: float) -> float:
-        return float(number(data.get(key, default), CameraError, key))
-
-    sides = {key: typed(int, data.get(key, 512), CameraError, key) for key in ("width", "height")}
     if variant == "topdown":
-        cx, cy = numbers("center", data.get("center", [0.0, 0.0]), 2)
-        return TopDownCamera(
-            center_x=cx,
-            center_y=cy,
-            meters_per_pixel=scalar("meters_per_pixel", 0.1),
-            ortho_height=scalar("ortho_height", 50.0),
-            far_plane=scalar("far_plane", 100.0),
-            **sides,
-        )
-    if variant == "pinhole":
-        x, y, z = numbers("position", member(data, "position", CameraError, "pinhole camera config"), 3)
-        principal = data.get("principal")
-        cx, cy = (None, None) if principal is None else numbers("principal", principal, 2)
-        return PinholeCamera(
-            x=x,
-            y=y,
-            z=z,
-            yaw_deg=scalar("yaw_deg", 0.0),
-            pitch_deg=scalar("pitch_deg", 0.0),
-            focal_px=scalar("focal_px", 256.0),
-            cx=cx,
-            cy=cy,
-            far_plane=scalar("far_plane", 100.0),
-            **sides,
-        )
-    raise CameraError(f"unknown camera variant {variant!r}")
-
-
-def default_camera(center: tuple[float, float] = (0.0, 0.0)) -> TopDownCamera:
-    """Stock view: top-down at 0.1 m/px, 512x512, centered on `center`."""
-    return TopDownCamera(center_x=center[0], center_y=center[1])
+        cls, scalars = TopDownCamera, ("meters_per_pixel", "ortho_height", "far_plane")
+        vectors = {"center": ("center_x", "center_y")}
+    elif variant == "pinhole":
+        member(data, "position", CameraError, "pinhole camera config")
+        cls, scalars = PinholeCamera, ("yaw_deg", "pitch_deg", "focal_px", "far_plane")
+        vectors = {"position": ("x", "y", "z"), "principal": ("cx", "cy")}
+    else:
+        raise CameraError(f"unknown camera variant {variant!r}")
+    fields = {key: typed(int, data[key], CameraError, key) for key in ("width", "height") if key in data}
+    for key, names in vectors.items():
+        if key in data and not (key == "principal" and data[key] is None):
+            values = items(data[key], CameraError, key, len(names))
+            fields.update(zip(names, (float(number(v, CameraError, key)) for v in values)))
+    for key in scalars:
+        if key in data:
+            fields[key] = float(number(data[key], CameraError, key))
+    return cls(**fields)

@@ -24,23 +24,23 @@ PRESETS: dict[str, dict[str, float]] = {
     "preset-d": {"depth": 0.5, "edge": 0.5},
 }
 
-DEFAULT_FAR_PLANE = 100.0
-
 
 class DimensionMismatch(Exception):
     """Control rasters or weights disagree about shape or modality names."""
 
 
-def normalize_modality(raster: np.ndarray, kind: str, far_plane: float = DEFAULT_FAR_PLANE) -> np.ndarray:
+def normalize_modality(raster: np.ndarray, kind: str, far_plane: float | None = None) -> np.ndarray:
     """Map a raw raster into [0, 1] float32.
 
     seg: class id over the top of the palette, so Background is 0.0 and the
-    highest class is 1.0.  depth: 1 at the camera, 0 at the far plane.
-    edge: already binary, passed through.
+    highest class is 1.0.  depth: 1 at the camera, 0 at `far_plane`, the
+    camera's, which a depth raster needs.  edge: already binary, passed through.
     """
     if kind == "seg":
         return np.divide(raster, np.float32(PALETTE_SIZE - 1), dtype=np.float32)
     if kind == "depth":
+        if far_plane is None:
+            raise ValueError("normalizing depth needs the camera's far_plane")
         out = np.divide(raster, np.float32(far_plane), dtype=np.float32)
         np.clip(out, 0.0, 1.0, out=out)
         return np.subtract(1.0, out, out=out)

@@ -2,17 +2,7 @@
 
 from __future__ import annotations
 
-import enum
-
-from scenekit.dsl.nodes import AgentClass
-
-
-class CollisionClass(enum.Enum):
-    VEHICLE_CYCLIST = "vehicle-cyclist"
-    VEHICLE_PEDESTRIAN = "vehicle-pedestrian"
-    T_BONE = "t-bone"
-    REAR_END = "rear-end"
-    OTHER = "other"
+from scenekit.dsl.nodes import AgentClass, CollisionClass
 
 
 # Angle thresholds in degrees; the relative heading is folded into [0, 180].

@@ -338,10 +338,23 @@ def _straight(state: AgentState, dt: float) -> None:
 def _follow(world: WorldMap, lane_id: str, s: float) -> tuple[str, float]:
     """Carry arc position s past lane ends onto first successors.
 
-    On a lane with no successor the returned s may exceed its length.
+    On a lane with no successor the returned s may exceed its length.  A walk
+    longer than the map has lanes is going round a loop of successors: s is
+    then taken modulo the loop's length, so a far position costs at most two
+    turns of it (an infinite s gives NaN).
     """
     lane = world.lanes[lane_id]
+    walked = 0
     while s > lane.length and lane.successors:
+        walked += 1
+        if walked > len(world.lanes):
+            loop, at = lane.length, lane.successors[0]
+            while at != lane_id:
+                loop += world.lanes[at].length
+                at = world.lanes[at].successors[0]
+            s %= loop
+            walked = 0
+            continue
         s -= lane.length
         lane_id = lane.successors[0]
         lane = world.lanes[lane_id]

@@ -46,6 +46,8 @@ class Lane:
             d = math.hypot(x1 - x0, y1 - y0)
             if d == 0:
                 raise MapError(f"lane {self.id!r}: zero-length centerline segment at ({x0}, {y0})")
+            if d * d == math.inf:  # `project` and the rasterizer square it
+                raise MapError(f"lane {self.id!r}: centerline segment at ({x0}, {y0}) is too long")
             seg.append(d)
         self.seg_lengths = tuple(seg)
         cum = [0.0]

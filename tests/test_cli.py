@@ -396,6 +396,48 @@ def test_sim_refuses_a_map_whose_name_is_not_a_string(tmp_path, capsys):
     assert "name must be str" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
+
+FOLLOWER_SCRIPT = "behavior Go(v):\n    follow lane at v\nego = new Car {place} with behavior Go({speed})\n"
+
+
+def _map_file(tmp_path, lanes):
+    path = tmp_path / "custom.map.json"
+    path.write_text(json.dumps({"name": "custom", "lanes": lanes}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "speed,dt,code", [(1e200, 0.05, 0), (1e308, 2.0, 1)], ids=["far-position", "infinite-position"]
+)
+def test_sim_follows_a_looped_lane_graph_at_any_speed(tmp_path, capsys, speed, dt, code):
+    corners = [[0.0, 0.0], [50.0, 0.0], [50.0, 50.0], [0.0, 50.0]]
+    world = _map_file(
+        tmp_path,
+        [
+            {"id": lane_id, "width": 3.5, "centerline": [corners[k], corners[(k + 1) % 4]],
+             "successors": ["abcd"[(k + 1) % 4]]}
+            for k, lane_id in enumerate("abcd")
+        ],
+    )
+    script = tmp_path / "loop.scn"
+    script.write_text(FOLLOWER_SCRIPT.format(place="on lane a at 5.0", speed=speed))
+    argv = ["sim", str(script), "--map", world, "--dt", str(dt), "--max-duration", "20", "-o", str(tmp_path / "s")]
+    assert main(argv) == code
+    if code == 1:  # an infinite arc position ends as a trace JSON cannot carry
+        assert "non-finite" in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_sim_and_render_refuse_a_lane_segment_whose_square_overflows(tmp_path, capsys, short_trace):
+    world = _map_file(tmp_path, [{"id": "a", "width": 3.5, "centerline": [[0.0, 0.0], [1e200, 0.0]]}])
+    script = tmp_path / "car.scn"
+    script.write_text(FOLLOWER_SCRIPT.format(place="at (5.0, 0.0)", speed=3.0))
+    for argv in (["sim", str(script)], ["render", str(short_trace)]):
+        assert main([*argv, "--map", world, "-o", str(tmp_path / "out")]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert "centerline segment at (0.0, 0.0) is too long" in line
+    assert not (tmp_path / "out").exists()
+
+
 def test_sim_trace_bytes_deterministic(tmp_path):
     for name in ("one", "two"):
         code = main(
@@ -545,17 +587,23 @@ def test_render_rejects_bad_camera_value(tmp_path, short_trace, capsys, base, fi
     assert not (tmp_path / "r").exists()
 
 
-@pytest.mark.parametrize("far_plane", [1e-300, 1e39], ids=["rounds-to-0", "overflows"])
-@pytest.mark.parametrize("base", [TOPDOWN, PINHOLE], ids=["topdown", "pinhole"])
-def test_render_rejects_far_plane_outside_float32(tmp_path, short_trace, capsys, base, far_plane):
-    # finite as a float64 but 0 or inf as float32, where depth is normalized: NaN maps
+@pytest.mark.parametrize("value", [1e-300, 1e39], ids=["rounds-to-0", "overflows"])
+@pytest.mark.parametrize(
+    "base,field",
+    [(TOPDOWN, "far_plane"), (PINHOLE, "far_plane"), (TOPDOWN, "ortho_height")],
+    ids=["topdown", "pinhole", "topdown-ortho_height"],
+)
+def test_render_rejects_far_plane_outside_float32(tmp_path, short_trace, capsys, base, field, value):
+    # finite as a float64 but 0 or inf as float32, the depth raster's type: NaN
+    # maps, or inf depth pixels from a top-down camera that high
     camera = tmp_path / "camera.json"
-    camera.write_text(json.dumps({**base, "far_plane": far_plane}))
+    camera.write_text(json.dumps({**base, field: value}))
     code = main(
         ["render", str(short_trace), "--map", "straight", "--camera", str(camera), "-o", str(tmp_path / "r")]
     )
     assert code == 2
-    assert "far_plane must be positive and finite as a float32" in capsys.readouterr().err
+    [line] = capsys.readouterr().err.splitlines()
+    assert f"{field} must be positive and finite as a float32" in line
     assert not (tmp_path / "r").exists()
 
 

@@ -24,6 +24,11 @@ def test_normalize_depth_endpoints():
     assert out[0, 3] == 0.0  # beyond far clamps, never negative
 
 
+def test_normalize_depth_needs_the_far_plane():
+    with pytest.raises(ValueError, match="far_plane"):
+        normalize_modality(np.zeros((2, 2), dtype=np.float32), "depth")
+
+
 def test_normalize_seg_ramp():
     raster = np.array([[0, 1, 2, 3, 4, 5]], dtype=np.uint8)
     out = normalize_modality(raster, "seg")

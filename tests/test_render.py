@@ -63,6 +63,13 @@ def test_camera_json_round_trip():
         assert camera_to_dict(again) == camera_to_dict(camera)
 
 
+def test_minimal_camera_json_loads_the_dataclass_defaults():
+    assert camera_from_dict({"variant": "topdown"}) == TopDownCamera()
+    pinhole = {"variant": "pinhole", "position": [1.0, 2.0, 3.0]}
+    assert camera_from_dict(pinhole) == PinholeCamera(1.0, 2.0, 3.0)
+    assert camera_from_dict({**pinhole, "principal": None}) == PinholeCamera(1.0, 2.0, 3.0)
+
+
 def test_camera_from_dict_rejects_junk():
     with pytest.raises(CameraError):
         camera_from_dict({})

@@ -33,7 +33,7 @@ from scenekit.sim.geometry import (
 from scenekit.sim.geometry import _scalar_separation
 from scenekit.sim.requirements import check_requirements
 from scenekit.sim.traceio import read_trace_json, trace_json_bytes, trace_to_dict
-from scenekit.sim.worldmap import MapError, WorldMap, builtin_map, load_map
+from scenekit.sim.worldmap import Lane, MapError, WorldMap, builtin_map, load_map
 
 FIXTURES = Path(__file__).parent / "data" / "fixtures"
 LIBRARY = Path(__file__).resolve().parent.parent / "src" / "scenekit" / "data" / "library"
@@ -608,6 +608,35 @@ def test_end_of_lane_without_successor_stops():
     assert last.speed == 0.0
     assert last.behavior_state == "stopped"
     assert last.x == pytest.approx(200.0)
+
+
+def _loop_world() -> WorldMap:
+    """Four 50 m lanes round a square, a -> b -> c -> d -> a."""
+    corners = [(0.0, 0.0), (50.0, 0.0), (50.0, 50.0), (0.0, 50.0)]
+    ids = "abcd"
+    lanes = {
+        lane_id: Lane(lane_id, 3.5, (corners[k], corners[(k + 1) % 4]), (ids[(k + 1) % 4],))
+        for k, lane_id in enumerate(ids)
+    }
+    return WorldMap("loop", lanes)
+
+
+def test_follow_round_a_loop_takes_s_modulo_its_length():
+    world = _loop_world()
+    assert engine._follow(world, "a", 205.0) == ("a", 5.0)  # one turn, lane by lane
+    assert engine._follow(world, "a", 330.0) == ("c", 30.0)
+    # 1e200 - 50 == 1e200: walking lane by lane would never end
+    assert engine._follow(world, "a", 1e200) == engine._follow(world, "a", 1e200 % 200.0)
+    lane_id, s = engine._follow(world, "a", math.inf)
+    assert lane_id in world.lanes and math.isnan(s)
+
+
+def test_lane_with_a_segment_whose_square_overflows_is_refused():
+    Lane("a", 3.5, ((0.0, 0.0), (1e154, 0.0)))  # squares to 1e308
+    with pytest.raises(MapError, match="too long"):
+        Lane("a", 3.5, ((0.0, 0.0), (1e200, 0.0)))
+    with pytest.raises(MapError, match="too long"):
+        Lane("a", 3.5, ((-1e308, 0.0), (1e308, 0.0)))  # the difference is already inf
 
 
 def test_initial_overlap_raises_placement_error():

@@ -18,14 +18,17 @@ import concurrent.futures
 import json
 import math
 import os
+import shutil
 import signal
 import sys
 import time
 from pathlib import Path
 
-from scenekit.condgen.bundle import BundleFrame, export_bundle, thread_map, usable_cpus
-from scenekit.condgen.bundle import verify_bundle, write_frame
-from scenekit.condgen.diffusion import DEFAULT_STEPS, DEFAULT_STRENGTH, MockDenoiser, run_diffusion
+from scenekit.condgen.bundle import BundleError, thread_map, usable_cpus, verify_bundle
+from scenekit.condgen.bundle import export_bundle  # noqa: F401 - perfbench's traced run rebinds it
+from scenekit.condgen.bundle import write_bundle, write_frame
+from scenekit.condgen.diffusion import DEFAULT_STEPS, DEFAULT_STRENGTH, BackendError, MockDenoiser
+from scenekit.condgen.diffusion import run_diffusion
 from scenekit.dsl import compile_script
 from scenekit.dsl.diagnostics import has_errors
 from scenekit.dsl.formatter import format_script
@@ -309,7 +312,8 @@ def cmd_render(args) -> int:
     static = prepare_static(world, camera)
 
     def render(index: int) -> None:
-        write_frame(out, index, _control_maps(trace.frames[index], world, camera, static, weights))
+        maps = _control_maps(trace.frames[index], world, camera, static, weights)
+        write_frame(out, index, maps, (camera.height, camera.width))
 
     thread_map(render, range(len(trace.frames)), usable_cpus())
     _print_json({"frames": len(trace.frames), "out": str(out / "frames")})
@@ -319,16 +323,20 @@ def cmd_render(args) -> int:
 def _export_trace(
     trace, world, camera, weights, prompt, steps, strength, seed, out, *, threads: int
 ) -> dict:
-    """Render, diffuse and export one trace as a bundle; returns the manifest.
+    """Render, diffuse and write one trace as a bundle; returns the manifest.
 
     The trace is serialized first, so one that cannot be (TraceError) fails
-    before any frame is rendered or any file written.  Frames are rendered
-    and diffused by `thread_map` on `threads` threads, so a failing frame
-    raises the error of the lowest failing index, as a serial loop would."""
+    before any frame is rendered or any file written.  Each frame task that
+    `write_bundle` runs on `threads` threads renders and diffuses its frame,
+    then writes and hashes its five files through `write_frame` and keeps
+    only their digests, so the rasters held are those of the frames in
+    flight.  A failing frame raises the error of the lowest failing index,
+    as a serial loop would, and `write_bundle` leaves no manifest behind."""
     trace_json = trace_json_bytes(trace)
     static = prepare_static(world, camera)
+    shape = (camera.height, camera.width)
 
-    def render(index: int) -> BundleFrame:
+    def export(out: Path, index: int) -> list[tuple[str, str]]:
         seg, depth, edge, combined = _control_maps(
             trace.frames[index], world, camera, static, weights
         )
@@ -336,9 +344,8 @@ def _export_trace(
         latent = run_diffusion(
             MockDenoiser(), combined, prompt, steps, strength, seed=seed * 1_000_003 + index
         )
-        return BundleFrame(seg=seg, depth=depth, edge=edge, combined=combined, latent_final=latent)
+        return write_frame(out, index, (seg, depth, edge, combined, latent), shape)
 
-    frames = thread_map(render, range(len(trace.frames)), threads)
     config = {
         "steps": steps,
         "strength": strength,
@@ -346,7 +353,9 @@ def _export_trace(
         "camera": camera_to_dict(camera),
         "seed": seed,
     }
-    return export_bundle(frames, prompt, config, out, trace=trace_json)
+    return write_bundle(
+        export, len(trace.frames), prompt, config, out, trace_json, threads=threads
+    )
 
 
 def cmd_bundle(args) -> int:
@@ -360,10 +369,14 @@ def cmd_bundle(args) -> int:
         raise CliError("bundle needs --map and --out when building")
     trace, world, camera, weights = _render_inputs(args)
     out = _make_out(args.out)
-    manifest = _export_trace(
-        trace, world, camera, weights, args.prompt, args.steps, args.strength, args.seed, out,
-        threads=usable_cpus(),
-    )
+    try:
+        manifest = _export_trace(
+            trace, world, camera, weights, args.prompt, args.steps, args.strength, args.seed, out,
+            threads=usable_cpus(),
+        )
+    except (BackendError, BundleError) as e:
+        print(json.dumps({"error": str(e)}))
+        return EXIT_DOMAIN
     _print_json({"out": args.out, "frames": len(trace.frames), "files": len(manifest["files"])})
     return EXIT_OK
 
@@ -376,7 +389,8 @@ def _run_variation(task: dict) -> dict:
     """One variation end to end: sim, render, diffuse, bundle.
 
     Runs inside a worker process; the returned row is the only channel back
-    to the parent, so failures are recorded rather than raised.  The frames
+    to the parent, so failures are recorded rather than raised, and a
+    `var-NNN` directory that this export created is removed.  The frames
     render on `task["threads"]` threads, or on one when the task has no
     such key.
     """
@@ -391,6 +405,7 @@ def _run_variation(task: dict) -> dict:
         "bundle": None,
         "error": None,
     }
+    fresh = False  # whether this export creates the bundle directory
     try:
         world = _load_world(task["map"])
         camera = camera_from_dict(task["camera"])
@@ -406,6 +421,7 @@ def _run_variation(task: dict) -> dict:
         row["requirements"] = [{"text": r.text, "passed": r.passed} for r in results]
         row["passed"] = all(r.passed for r in results)
         bundle_dir = Path(task["out"]) / f"var-{task['index']:03d}"
+        fresh = not bundle_dir.exists()
         _export_trace(
             trace,
             world,
@@ -422,6 +438,8 @@ def _run_variation(task: dict) -> dict:
     except Exception as e:  # noqa: BLE001 - report, do not kill the pool
         row["error"] = str(e)
         row["passed"] = False
+        if fresh:
+            shutil.rmtree(bundle_dir, ignore_errors=True)
     return row
 
 

@@ -59,29 +59,56 @@ def export_bundle(
     out_dir: str | Path,
     trace: bytes | None = None,
 ) -> dict:
+    """Write `frames` as a bundle through `write_bundle`; returns its manifest.
+
+    Every raster must have frame 0's shape (InconsistentDims), which is
+    checked for all frames before anything is written, so a bad frame list
+    leaves an existing bundle at `out_dir` as it was.  The frames are
+    written and hashed one task per frame on one thread per usable CPU.
+    """
+    if not frames:
+        raise BundleError("bundle needs at least one frame")
+    shape = frames[0].seg.shape
+    rasters = [[getattr(frame, field) for field, _, _ in _FILES] for frame in frames]
+    for index, frame_rasters in enumerate(rasters):
+        _check_shapes(index, frame_rasters, shape)
+
+    def write_one(out: Path, index: int) -> list[tuple[str, str]]:
+        return write_frame(out, index, rasters[index], shape)
+
+    return write_bundle(
+        write_one, len(frames), prompt, config, out_dir, trace, threads=usable_cpus()
+    )
+
+
+def write_bundle(
+    write_one,
+    count: int,
+    prompt: str,
+    config: dict,
+    out_dir: str | Path,
+    trace: bytes | None = None,
+    *,
+    threads: int,
+) -> dict:
     """Write the bundle layout and return its manifest.
 
     Layout: manifest.json, prompt.txt, config.json, optionally trace.json,
     and frames/NNNNNN/{seg.pgm, depth.pfm, edge.pgm, combined.pfm,
-    latent_final.pfm}.  The manifest maps the relative path of every file
-    this export wrote to the sha256 hex digest of the bytes written, so
-    nothing is read back, and files left in `out_dir` by an earlier, longer
-    export stay unlisted and fail `verify_bundle`.  `trace` is a trace's
-    `trace_json_bytes`.  The frames are written and hashed in one contiguous
-    chunk per usable CPU.
+    latent_final.pfm}.  `write_one(out, index)` writes frame `index` of
+    `count` through `write_frame` and returns its (relative path, digest)
+    pairs; `thread_map` runs it on `threads` threads, so a failing frame
+    raises the error of the lowest failing index.  The manifest maps the
+    relative path of every file this export wrote to the sha256 hex digest
+    of the bytes written, so nothing is read back, and files left in
+    `out_dir` by an earlier, longer export stay unlisted and fail
+    `verify_bundle`.  An old manifest.json is deleted before anything is
+    written and the new one is written last, so an export that stops part
+    way leaves no manifest to vouch for a mix of old and new files.
+    `trace` is a trace's `trace_json_bytes`.
     """
-    if not frames:
-        raise BundleError("bundle needs at least one frame")
     if not prompt:
         raise BundleError("prompt must be non-empty")
-    shape = frames[0].seg.shape
-    for index, frame in enumerate(frames):
-        for field, _, _ in _FILES:
-            found = getattr(frame, field).shape
-            if found != shape:
-                raise InconsistentDims(
-                    f"frame {index}: raster {field!r} has shape {found}, expected {shape}"
-                )
     small = {
         "prompt.txt": prompt.encode("utf-8"),
         "config.json": (json.dumps(config, indent=2, sort_keys=True) + "\n").encode("ascii"),
@@ -91,32 +118,37 @@ def export_bundle(
 
     out = Path(out_dir)
     (out / "frames").mkdir(parents=True, exist_ok=True)
+    (out / "manifest.json").unlink(missing_ok=True)
     files = {rel: _write_hashed(out / rel, data) for rel, data in small.items()}
-    files.update(_map_chunks(partial(_write_frames, out), list(enumerate(frames))))
+    for pairs in thread_map(partial(write_one, out), range(count), threads):
+        files.update(pairs)
     manifest = {"version": 1, "files": files}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest
 
 
-def _write_frames(out: Path, numbered: list[tuple[int, BundleFrame]]) -> list[tuple[str, str]]:
-    """Write each (index, frame)'s rasters; (relative path, digest) pairs."""
-    return [
-        pair
-        for index, frame in numbered
-        for pair in write_frame(out, index, [getattr(frame, field) for field, _, _ in _FILES])
-    ]
-
-
-def write_frame(out: Path, index: int, rasters) -> list[tuple[str, str]]:
+def write_frame(out: Path, index: int, rasters, shape: tuple) -> list[tuple[str, str]]:
     """Write `rasters`, given in `_FILES` order and stopping where they stop,
     to frames/NNNNNN/ under `out` (its frames/ must exist); the (relative
-    path, sha256 digest) pair of each file written."""
+    path, sha256 digest) pair of each file written.  A raster whose shape is
+    not `shape` raises InconsistentDims before any file is written."""
+    _check_shapes(index, rasters, shape)
     frame_dir = f"frames/{index:06d}"
     (out / frame_dir).mkdir(exist_ok=True)
     return [
         (f"{frame_dir}/{name}", _write_hashed(out / frame_dir / name, *encode(raster)))
         for (_, name, encode), raster in zip(_FILES, rasters)
     ]
+
+
+def _check_shapes(index: int, rasters, shape: tuple) -> None:
+    """InconsistentDims naming frame `index` and the first raster whose
+    shape is not `shape`."""
+    for (field, _, _), raster in zip(_FILES, rasters):
+        if raster.shape != shape:
+            raise InconsistentDims(
+                f"frame {index}: raster {field!r} has shape {raster.shape}, expected {shape}"
+            )
 
 
 def _write_hashed(path: Path, header: bytes, payload: bytes | memoryview = b"") -> str:

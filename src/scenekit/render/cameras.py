@@ -15,6 +15,14 @@ import numpy as np
 from scenekit.jsonio import items, member, number, typed
 
 MAX_IMAGE_SIDE = 4096  # most pixels along one image side; rasters are side x side arrays
+# Farthest from the origin, in metres along each axis, that a top-down image
+# edge or a pinhole camera may lie: distances from there to a map square well
+# inside the float range.
+MAX_WORLD_COORD = 1e12
+# Steepest a pinhole pixel's ray may lean from the optical axis (its offset
+# from the principal point over focal_px, 89.99994 degrees), so every ray's
+# direction and its square stay finite.
+MAX_RAY_SLOPE = 1e6
 
 
 class CameraError(Exception):
@@ -62,6 +70,10 @@ class TopDownCamera:
 
     def __post_init__(self):
         _check(self, "meters_per_pixel", ("ortho_height", "far_plane"))
+        half = max(self.width, self.height) / 2.0 * self.meters_per_pixel
+        _require(max(abs(self.center_x), abs(self.center_y)) + half <= MAX_WORLD_COORD,
+                 f"center and meters_per_pixel put an image edge more than {MAX_WORLD_COORD:g} m"
+                 " from the origin")
 
 
 @dataclass(frozen=True)
@@ -88,6 +100,13 @@ class PinholeCamera:
 
     def __post_init__(self):
         _check(self, "focal_px", ("far_plane",))
+        _require(max(abs(self.x), abs(self.y), abs(self.z)) <= MAX_WORLD_COORD,
+                 f"position must lie within {MAX_WORLD_COORD:g} m of the origin on each axis")
+        cx, cy = self.principal  # the pixel centre farthest from it sets the steepest ray
+        offset = max(abs(cx - 0.5), abs(self.width - 0.5 - cx), abs(cy - 0.5), abs(self.height - 0.5 - cy))
+        _require(offset / self.focal_px <= MAX_RAY_SLOPE,
+                 f"focal_px must be at least {offset / MAX_RAY_SLOPE:g} for this image and principal"
+                 f" point (a ray slope of at most {MAX_RAY_SLOPE:g}), got {self.focal_px!r}")
 
     @property
     def principal(self) -> tuple[float, float]:

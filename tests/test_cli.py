@@ -8,9 +8,11 @@ import socket
 import subprocess
 import sys
 import time
+import tracemalloc
 import types
 import urllib.error
 import urllib.request
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +20,9 @@ import pytest
 
 from scenekit import cli
 from scenekit.cli import main
+from scenekit.condgen.bundle import verify_bundle
 from scenekit.promptgen.stubserver import StubLLMServer
-from scenekit.render.cameras import MAX_IMAGE_SIDE, camera_from_dict
+from scenekit.render.cameras import MAX_IMAGE_SIDE, MAX_RAY_SLOPE, MAX_WORLD_COORD, camera_from_dict
 from scenekit.render.formats import read_pfm, read_pgm
 
 FIXTURES = Path(__file__).parent / "data" / "fixtures"
@@ -607,6 +610,48 @@ def test_render_rejects_far_plane_outside_float32(tmp_path, short_trace, capsys,
     assert not (tmp_path / "r").exists()
 
 
+# Cameras whose arithmetic would overflow while rendering: a pinhole pixel
+# ray whose square overflows, or a pixel or camera position whose distance
+# to the map does.  Each is refused as it loads, naming the field.
+OVERFLOWING_CAMERAS = {
+    "pinhole-focal_px": ({**PINHOLE, "position": [-20.0, 0.0, 5.0], "focal_px": 1e-300}, "focal_px"),
+    "pinhole-position": ({**PINHOLE, "position": [1e308, 0.0, 5.0]}, "position"),
+    "topdown-center": ({**TOPDOWN, "center": [1e308, 0.0], "meters_per_pixel": 1e300}, "center"),
+    "topdown-meters_per_pixel": ({**TOPDOWN, "meters_per_pixel": 1e300}, "meters_per_pixel"),
+}
+# The same fields at their limits, which render with no warning.
+CAMERAS_AT_THE_LIMITS = {
+    # the pixel centre farthest from the principal point (16, 16) is 15.5 px away
+    "pinhole-focal_px": {**PINHOLE, "position": [-20.0, 0.0, 5.0], "focal_px": 15.5 / MAX_RAY_SLOPE * 1.01},
+    "pinhole-position": {**PINHOLE, "position": [MAX_WORLD_COORD, 0.0, 5.0]},
+    "topdown-center": {**TOPDOWN, "center": [MAX_WORLD_COORD - 24 * 0.5, 0.0]},
+}
+
+
+def _render_with_camera(tmp_path, short_trace, camera) -> int:
+    """`render` with `camera`; an overflow warning while it runs raises."""
+    path = tmp_path / "camera.json"
+    path.write_text(json.dumps(camera))
+    argv = ["render", str(short_trace), "--map", "straight", "--camera", str(path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main([*argv, "-o", str(tmp_path / "r")])
+
+
+@pytest.mark.parametrize("name", OVERFLOWING_CAMERAS)
+def test_render_refuses_a_camera_whose_pixels_overflow(tmp_path, short_trace, capsys, name):
+    camera, field = OVERFLOWING_CAMERAS[name]
+    assert _render_with_camera(tmp_path, short_trace, camera) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert "bad camera config" in line and field in line
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("name", CAMERAS_AT_THE_LIMITS)
+def test_render_takes_a_camera_at_the_pixel_limits(tmp_path, short_trace, name):
+    assert _render_with_camera(tmp_path, short_trace, CAMERAS_AT_THE_LIMITS[name]) == 0
+
+
 def test_render_rejects_camera_integer_too_long_to_parse(tmp_path, short_trace, capsys):
     camera = tmp_path / "camera.json"
     camera.write_text('{"variant": "topdown", "width": ' + "1" * 5000 + "}")
@@ -756,6 +801,36 @@ def test_bundle_build_and_verify(tmp_path, short_trace):
 def test_bundle_missing_args(capsys):
     assert main(["bundle"]) == 2
     assert "bundle needs" in capsys.readouterr().err
+
+
+def test_bundle_peak_memory_does_not_grow_with_the_frame_count(tmp_path, monkeypatch):
+    # Each frame is written and hashed as soon as it is diffused, so only the
+    # frames in flight are held.  Bound: a 41-frame export at 128x128 on 2
+    # threads may peak above a 4-frame one by at most (threads + 2) frames'
+    # five rasters, in memory traced by tracemalloc (numpy reports its
+    # buffers to it).  Holding every frame until the manifest is written
+    # raises the peak by about 34 frames' rasters instead.
+    script = tmp_path / "long.scn"
+    script.write_text("ego = new Car on lane main_a at 30.0 with speed 10.0\nterminate when time above 2.0\n")
+    assert main(["sim", str(script), "--map", "straight", "-o", str(tmp_path / "sim")]) == 0
+    trace = json.loads((tmp_path / "sim" / "trace.json").read_text())
+    assert len(trace["frames"]) >= 40
+    (tmp_path / "short.json").write_text(json.dumps({**trace, "frames": trace["frames"][:4]}))
+    camera = _small_camera(tmp_path, size=128, mpp=0.25, center=(30.0, 0.0))
+    threads = 2
+    monkeypatch.setattr(cli, "usable_cpus", lambda: threads)
+    peaks = []
+    for name in ("short.json", "sim/trace.json"):
+        argv = ["bundle", str(tmp_path / name), "--map", "straight", "--camera", camera, "--steps", "2"]
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            assert main([*argv, "-o", str(tmp_path / f"out{len(peaks)}")]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    frame_bytes = 128 * 128 * (1 + 4 + 1 + 4 + 4)  # uint8 seg, edge; float32 depth, combined, latent
+    assert peaks[1] - peaks[0] < (threads + 2) * frame_bytes
 
 
 BAD_DIFFUSION_FLAGS = [
@@ -1051,6 +1126,50 @@ def test_pipeline_frame_failure_under_threads_reports_the_serial_error(
     assert rows[0]["bundle"] is None and not rows[0]["passed"]
     assert runs[0] == [0, 1, 2]
     assert 5 in runs[1]  # the later frame did fail, and fail first
+
+
+def test_interrupted_bundle_reexport_leaves_no_manifest(tmp_path, short_trace, monkeypatch, capsys):
+    camera = _small_camera(tmp_path, center=(30.0, 0.0))
+    out = tmp_path / "b"
+    argv = ["bundle", str(short_trace), "--map", "straight", "--camera", camera, "--steps", "2"]
+    assert main([*argv, "-o", str(out)]) == 0
+    assert verify_bundle(out) == []
+    frames = len(json.loads(short_trace.read_text())["frames"])
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+    _failing_frames(monkeypatch, {frames // 2: 0.0})
+    run_diffusion, seen = cli.run_diffusion, []
+
+    def diffuse(*args, **kwargs):
+        seen.append(verify_bundle(out))  # what a reader finds while the re-export runs
+        return run_diffusion(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_diffusion", diffuse)
+    capsys.readouterr()
+    assert main([*argv, "-o", str(out)]) == 1
+    assert f"frame {frames // 2} broke" in json.loads(capsys.readouterr().out)["error"]
+    missing = [f"no manifest.json in {out}"]
+    assert len(seen) > frames // 2 and all(problems == missing for problems in seen)
+    assert verify_bundle(out) == missing
+
+
+def test_bundle_frame_with_a_raster_off_the_camera_shape_is_a_domain_failure(
+    tmp_path, short_trace, monkeypatch, capsys
+):
+    control_maps = cli._control_maps
+
+    def cropped(*args):
+        seg, depth, edge, combined = control_maps(*args)
+        return seg, depth[1:], edge, combined
+
+    monkeypatch.setattr(cli, "_control_maps", cropped)
+    camera = _small_camera(tmp_path, center=(30.0, 0.0))
+    out = tmp_path / "b"
+    capsys.readouterr()
+    argv = ["bundle", str(short_trace), "--map", "straight", "--camera", camera, "--steps", "1"]
+    assert main([*argv, "-o", str(out)]) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == "frame 0: raster 'depth' has shape (47, 48), expected (48, 48)"
+    assert verify_bundle(out) == [f"no manifest.json in {out}"]
 
 
 def test_pipeline_frame_failure_cancels_the_frames_not_started(

@@ -402,6 +402,17 @@ def test_inconsistent_dims_names_the_frame(tmp_path):
         export_bundle(frames, "p", CONFIG, tmp_path / "b")
 
 
+def test_inconsistent_reexport_leaves_the_existing_bundle_intact(tmp_path):
+    root = tmp_path / "b"
+    export_bundle([_frame(i) for i in range(5)], "p", CONFIG, root, trace=_TRACE)
+    before = _tree(root)
+    frames = [_frame(10 + i) for i in range(3)] + [_frame(13, shape=(5, 8)), _frame(14)]
+    with pytest.raises(InconsistentDims, match="frame 3"):
+        export_bundle(frames, "q", {"steps": 1}, root)
+    assert _tree(root) == before
+    assert verify_bundle(root) == []
+
+
 def test_mixed_rasters_within_one_frame(tmp_path):
     good = _frame(0)
     bad = BundleFrame(

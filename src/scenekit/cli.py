@@ -144,13 +144,16 @@ def _load_world(spec: str) -> WorldMap:
 
 
 def _load_camera(spec: str | None, world: WorldMap) -> Camera:
-    if spec is None:
+    """The camera file's camera, or a default top-down one over the map's
+    `center` anchor (else its first anchor, else the origin)."""
+    try:
+        if spec is not None:
+            return camera_from_dict(read_json(spec, CameraError, ""))
         anchor = world.anchors.get("center") or next(iter(world.anchors.values()), None)
         return TopDownCamera() if anchor is None else TopDownCamera(anchor.x, anchor.y)
-    try:
-        return camera_from_dict(read_json(spec, CameraError, ""))
     except CameraError as e:
-        raise CliError(f"bad camera config {spec!r}: {e}") from e
+        what = f"camera config {spec!r}" if spec is not None else f"default camera for map {world.name!r}"
+        raise CliError(f"bad {what}: {e}") from e
 
 
 def _load_weight_spec(spec: str) -> dict[str, float]:

@@ -5,12 +5,14 @@ happen in a fixed documented order: params in declaration order, then per
 object (declaration order) its `declared_scalars`: placement, initial speed,
 dims, and behavior arguments.  Only Range and Choice consume randomness;
 constants and parameter references never touch the generator, so adding one
-does not shift the values drawn for everything after it.
+does not shift the values drawn for everything after it.  The variations of
+one `sample_variations` call hold one copy of each part they all draw alike.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -122,6 +124,9 @@ class ConcreteScenario:
         return (self.params, self.objects, self.requirements, self.termination)
 
 
+# The types `_shared` walks into: every other part of a scenario is a leaf.
+_PARTS = {tuple, CAbsolute, CRelative, COnLane, CTrigger, ConcreteBehavior, ConcreteObject, CRequirement}
+
 # --------------------------------------------------------------------------
 # sampling
 
@@ -172,6 +177,7 @@ def sample_variations(ast: ScenarioAst, n: int, base_seed: int) -> list[Concrete
             f"{n} distinct variations"
         )
     seen: set[tuple] = set()
+    shared: dict[tuple, object] = {}
     out: list[ConcreteScenario] = []
     for i in range(n):
         seed = base_seed + i
@@ -185,8 +191,33 @@ def sample_variations(ast: ScenarioAst, n: int, base_seed: int) -> list[Concrete
                 )
             scenario = sample_parameters(ast, seed + n + retry)
         seen.add(scenario.resolved_key())
-        out.append(scenario)
+        out.append(_shared(scenario, shared))
     return out
+
+
+def _shared(value, memo: dict):
+    """`value` with each part an earlier variation already holds replaced
+    by that variation's object, so what a script does not vary is stored
+    once however many variations hold it.
+
+    Parts match by the identity of their leaves.  A Constant or Choice value
+    is the AST's own float object in every draw and each Range draw is a
+    new one, so matching parts are equal bit for bit (0.0 never stands in
+    for -0.0).  `memo` holds every part it keys, so the keyed ids stay unique.
+    """
+    cls = type(value)
+    own = value if cls is tuple else [getattr(value, name) for name in cls.__slots__]
+    # leaves (floats, ints, strings, enum members, None) are kept as they are
+    parts = [_shared(v, memo) if type(v) in _PARTS else v for v in own]
+    key = (cls, *map(id, parts))
+    found = memo.get(key)
+    if found is None:
+        if all(map(operator.is_, parts, own)):
+            found = value
+        else:
+            found = cls(parts) if cls is tuple else cls(*parts)
+        memo[key] = found
+    return found
 
 
 def _has_stochastic(ast: ScenarioAst) -> bool:

@@ -13,12 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from scenekit.jsonio import items, member, number, typed
+from scenekit.sim.worldmap import MAX_WORLD_COORD  # bounds a top-down image edge and a pinhole position too
 
 MAX_IMAGE_SIDE = 4096  # most pixels along one image side; rasters are side x side arrays
-# Farthest from the origin, in metres along each axis, that a top-down image
-# edge or a pinhole camera may lie: distances from there to a map square well
-# inside the float range.
-MAX_WORLD_COORD = 1e12
 # Steepest a pinhole pixel's ray may lean from the optical axis (its offset
 # from the principal point over focal_px, 89.99994 degrees), so every ray's
 # direction and its square stay finite.

@@ -4,11 +4,9 @@ from scenekit.sim.worldmap import Lane, MapError, Pose, WorldMap, load_map, buil
 from scenekit.sim.geometry import (
     Box,
     box_corners,
-    clip_convex,
     contact_faces,
     obbs_overlap,
     points_in_box,
-    polygon_centroid,
     rel_heading_deg,
     signed_separation,
 )

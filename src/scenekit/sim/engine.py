@@ -9,8 +9,11 @@ once fired.  Frame k sits at time k * dt (multiplied, not accumulated).
 
 Each frame holds its own snapshot of every agent (`AgentState.snapshot`),
 taken after motion; the live states go on changing in place.  Collision
-detection builds each active agent's box once a step and hands the pairs
-to `obbs_overlap`, whose verdict is exact.
+detection runs the broad phase (`circles_apart`) on the states, with each
+agent's diagonal computed once a run, and builds boxes only for the pairs
+within reach, whose overlap `obbs_overlap` decides exactly.  Lane following
+carries s onto a successor lane (`_follow`) only when it passes the end of
+a lane that has one.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from scenekit.dsl.sampler import (
 from scenekit.sim.classify import CollisionClass, classify_collision
 from scenekit.sim.geometry import (
     Box,
+    circles_apart,
     contact_faces,
     impact_point,
     obbs_overlap,
@@ -235,6 +239,7 @@ def run(scenario: ConcreteScenario, world: WorldMap, config: SimConfig = SimConf
     states, runtimes = _instantiate(scenario, world)
     # Live states by name: before motion they hold the previous frame's poses.
     by_name = {s.name: s for s in states}
+    diagonals = [math.hypot(s.length, s.width) for s in states]  # sides never change
     frames: list[tuple[AgentState, ...]] = [tuple([s.snapshot() for s in states])]
     events: list[CollisionEvent] = []
     contacted: set[tuple[str, str]] = set()
@@ -254,7 +259,7 @@ def run(scenario: ConcreteScenario, world: WorldMap, config: SimConfig = SimConf
 
         frames.append(tuple([s.snapshot() for s in states]))
 
-        new_events = _detect(states, contacted, now, k)
+        new_events = _detect(states, diagonals, contacted, now, k)
         events.extend(new_events)
         if new_events and config.collision_stop:
             termination = "collision"
@@ -362,9 +367,16 @@ def _follow(world: WorldMap, lane_id: str, s: float) -> tuple[str, float]:
 
 
 def _pursuit(state: AgentState, rt: _Runtime, world: WorldMap, dt: float, speed: float) -> None:
-    """Advance along the assigned lane with pure-pursuit steering."""
-    rt.lane_id, s = _follow(world, rt.lane_id, rt.s + speed * dt)
+    """Advance along the assigned lane with pure-pursuit steering.
+
+    `_follow` runs only when s passes the end of a lane with a successor:
+    elsewhere it would return s unchanged.
+    """
     lane = world.lanes[rt.lane_id]
+    s = rt.s + speed * dt
+    if s > lane.length and lane.successors:
+        rt.lane_id, s = _follow(world, rt.lane_id, s)
+        lane = world.lanes[rt.lane_id]
     if s > lane.length:
         state.x, state.y = lane.point_at(lane.length)
         state.heading = lane.heading_at(lane.length)
@@ -374,8 +386,10 @@ def _pursuit(state: AgentState, rt: _Runtime, world: WorldMap, dt: float, speed:
         return
     rt.s = s
     lookahead = max(LOOKAHEAD_MIN, LOOKAHEAD_TIME * speed)
-    target_id, target_s = _follow(world, rt.lane_id, rt.s + lookahead)
-    target = world.lanes[target_id]
+    target, target_s = lane, s + lookahead
+    if target_s > lane.length and lane.successors:
+        target_id, target_s = _follow(world, rt.lane_id, target_s)
+        target = world.lanes[target_id]
     tx, ty = target.point_at(min(target_s, target.length))
     alpha = _wrap(math.atan2(ty - state.y, tx - state.x) - state.heading)
     state.heading = _wrap(state.heading + speed * (2.0 * math.sin(alpha) / lookahead) * dt)
@@ -407,17 +421,24 @@ def _cut_in(state: AgentState, rt: _Runtime, world: WorldMap, dt: float, b: Conc
 
 def _detect(
     states: list[AgentState],
+    diagonals: list[float],
     contacted: set[tuple[str, str]],
     now: float,
     frame: int,
 ) -> list[CollisionEvent]:
+    """New contacts among the active agents, pairs in declaration order.
+
+    The broad phase runs on the states themselves; a Box is built only for
+    a pair within reach, whose overlap `obbs_overlap` then decides.
+    """
     events = []
-    live = [(s, s.box()) for s in states if s.active]
-    for i, (a, box_a) in enumerate(live):
-        for b, box_b in live[i + 1 :]:
+    live = [(s, d) for s, d in zip(states, diagonals) if s.active]
+    for i, (a, diag_a) in enumerate(live):
+        for b, diag_b in live[i + 1 :]:
             key = (a.name, b.name)
-            if key in contacted:
+            if key in contacted or circles_apart(a.x, a.y, diag_a, b.x, b.y, diag_b):
                 continue
+            box_a, box_b = a.box(), b.box()
             if not obbs_overlap(box_a, box_b):
                 continue
             contacted.add(key)

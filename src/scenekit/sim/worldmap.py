@@ -13,6 +13,11 @@ from pathlib import Path
 
 from scenekit.jsonio import items, member, number, read_json, typed
 
+# Farthest from the origin, in metres along each axis, that a map's
+# centerline points and anchors (and a camera) may lie: distances between
+# any two such points square well inside the float range.
+MAX_WORLD_COORD = 1e12
+
 
 class MapError(Exception):
     pass
@@ -59,10 +64,11 @@ class Lane:
     def _segment_at(self, s: float) -> tuple[int, float]:
         """Segment index and distance into it, with s clamped to [0, length]."""
         s = min(max(s, 0.0), self.length)
-        for i, end in enumerate(self.cum_s[1:]):
-            if s <= end:
-                return i, s - self.cum_s[i]
-        return len(self.seg_lengths) - 1, self.seg_lengths[-1]
+        cum = self.cum_s
+        for i in range(1, len(cum)):
+            if s <= cum[i]:
+                return i - 1, s - cum[i - 1]
+        return len(self.seg_lengths) - 1, self.seg_lengths[-1]  # s is NaN
 
     def point_at(self, s: float) -> tuple[float, float]:
         i, into = self._segment_at(s)
@@ -131,6 +137,8 @@ def load_map(path: Path | str) -> WorldMap:
                 for n in items(entry.get("successors", []), MapError, f"{where} successors")
             ),
         )
+        for x, y in lanes[lane_id].centerline:
+            _in_world(x, y, at)
     for lane in lanes.values():
         for succ in lane.successors:
             if succ not in lanes:
@@ -144,8 +152,14 @@ def load_map(path: Path | str) -> WorldMap:
             float(number(member(a, "y", MapError, where), MapError, f"{where} y")),
             math.radians(number(a.get("heading_deg", 0.0), MapError, f"{where} heading_deg")),
         )
+        _in_world(anchors[name].x, anchors[name].y, where)
     name = typed(str, raw.get("name", path.stem), MapError, f"{path}: name")
     return WorldMap(name=name, lanes=lanes, anchors=anchors)
+
+
+def _in_world(x: float, y: float, where: str) -> None:
+    if max(abs(x), abs(y)) > MAX_WORLD_COORD:
+        raise MapError(f"{where}: point ({x:g}, {y:g}) lies more than {MAX_WORLD_COORD:g} m from the origin")
 
 
 def builtin_map(name: str) -> WorldMap:

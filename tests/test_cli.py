@@ -652,6 +652,50 @@ def test_render_takes_a_camera_at_the_pixel_limits(tmp_path, short_trace, name):
     assert _render_with_camera(tmp_path, short_trace, CAMERAS_AT_THE_LIMITS[name]) == 0
 
 
+# A map point past MAX_WORLD_COORD is a map error: a lane that far from the
+# camera would overflow the rasterizer's squared distances, and an anchor
+# that far puts the default camera's image edge past the same bound.  An
+# anchor at the bound loads, and its default camera is refused like a camera
+# file's.
+def test_render_refuses_a_lane_past_the_world_bound(tmp_path, short_trace, capsys):
+    world = _map_file(tmp_path, [{"id": "far", "width": 3.5, "centerline": [[1e200, 0.0], [1e200, 100.0]]}])
+    camera = tmp_path / "camera.json"
+    camera.write_text(json.dumps({**TOPDOWN, "center": [0.0, 0.0], "width": 32, "height": 32}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["render", str(short_trace), "--map", world, "--camera", str(camera), "-o", str(tmp_path / "r")])
+    assert code == 2
+    err = capsys.readouterr().err
+    [line] = err.splitlines()
+    assert "lane 'far' centerline: point (1e+200, 0) lies more than 1e+12 m" in line
+    assert "Traceback" not in err and not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize(
+    "x,named",
+    [(1e200, "anchor 'center': point (1e+200, 0)"), (MAX_WORLD_COORD, "bad default camera for map 'far'")],
+    ids=["anchor-past-the-bound", "anchor-at-the-bound"],
+)
+@pytest.mark.parametrize("command", ["render", "pipeline"])
+def test_default_camera_over_a_far_anchor_is_env_failure(tmp_path, short_trace, capsys, command, x, named):
+    world = tmp_path / "far.map.json"
+    lane = {"id": "main_a", "width": 3.5, "centerline": [[0.0, 0.0], [100.0, 0.0]]}
+    world.write_text(json.dumps({"name": "far", "lanes": [lane], "anchors": {"center": {"x": x, "y": 0.0}}}))
+    script = tmp_path / "short.scn"  # written by short_trace
+    argv = {
+        "render": ["render", str(short_trace)],
+        "pipeline": ["pipeline", "--script", str(script), "-n", "1", "--steps", "1"],
+    }[command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*argv, "--map", str(world), "-o", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    [line] = err.splitlines()
+    assert named in line and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_render_rejects_camera_integer_too_long_to_parse(tmp_path, short_trace, capsys):
     camera = tmp_path / "camera.json"
     camera.write_text('{"variant": "topdown", "width": ' + "1" * 5000 + "}")

@@ -172,6 +172,23 @@ def test_variations_distinct_and_seeded():
         assert sc == sample_parameters(ast, sc.seed)
 
 
+def test_variations_store_what_they_do_not_vary_once():
+    # ego is the same in every draw; the lead's gap is a Range and its x a
+    # Choice of -0.0 and 0.0, equal as floats but not in a trace's bytes
+    ast = compile_ok(
+        "param gap = Range(20.0, 35.0)\nparam x = Choice[-0.0, 0.0]\n"
+        "behavior Go(v):\n    follow lane at v when time above 1.0\n"
+        "ego = new Car on lane main_a at 10.0 with speed 5.0 with behavior Go(5.0)\n"
+        "lead = new Car at (x, gap) facing 0.0\nrequire collision\n"
+    )
+    out = sample_variations(ast, 12, 40)
+    assert len({id(object_of(sc, "ego")) for sc in out}) == 1
+    assert len({id(sc.requirements) for sc in out}) == 1
+    assert {repr(object_of(sc, "lead").spatial.x) for sc in out} == {"-0.0", "0.0"}
+    for sc in out:
+        assert repr(sc) == repr(sample_parameters(ast, sc.seed))
+
+
 def test_deterministic_script_cannot_vary():
     ast = compile_ok("ego = new Car at (0.0, 0.0)\nlead = new Car ahead of ego by 30.0\n")
     with pytest.raises(VariationError):

@@ -5,6 +5,9 @@ import json
 import math
 import pickle
 import random
+import re
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,12 +20,12 @@ from scenekit.dsl.nodes import AgentClass
 from scenekit.dsl.sampler import SampleError, sample_parameters, sample_variations
 from scenekit.sim import engine, geometry
 from scenekit.sim.classify import CollisionClass, classify_collision
-from scenekit.sim.engine import AgentState, PlacementError, SimConfig, run
+from scenekit.sim.engine import AgentState, CollisionEvent, PlacementError, SimConfig, run
 from scenekit.sim.geometry import (
+    FACES,
     GUARD,
     Box,
     box_corners,
-    clip_convex,
     contact_faces,
     impact_point,
     obbs_overlap,
@@ -30,10 +33,10 @@ from scenekit.sim.geometry import (
     rel_heading_deg,
     signed_separation,
 )
-from scenekit.sim.geometry import _scalar_separation
+from scenekit.sim.geometry import _clip, _corner_points, _fma, _np_sum, _scalar_separation
 from scenekit.sim.requirements import check_requirements
 from scenekit.sim.traceio import read_trace_json, trace_json_bytes, trace_to_dict
-from scenekit.sim.worldmap import Lane, MapError, WorldMap, builtin_map, load_map
+from scenekit.sim.worldmap import MAX_WORLD_COORD, Lane, MapError, WorldMap, builtin_map, load_map
 
 FIXTURES = Path(__file__).parent / "data" / "fixtures"
 LIBRARY = Path(__file__).resolve().parent.parent / "src" / "scenekit" / "data" / "library"
@@ -274,12 +277,268 @@ def test_impact_point_is_overlap_centroid():
 
 
 def test_clip_polygon_with_itself():
-    square = box_corners(Box(1.0, 1.0, 0.3, 2.0, 2.0))
-    clipped = clip_convex(square, square)
+    square = _corner_points(Box(1.0, 1.0, 0.3, 2.0, 2.0))
+    clipped = np.array(_clip(square, square))
     assert len(clipped) >= 3
     x, y = clipped[:, 0], clipped[:, 1]
     area = 0.5 * abs(float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
     assert area == pytest.approx(4.0)
+
+
+# --- geometry: the numpy oracle for the collision attributes ------------
+# The numpy code `impact_point`, `contact_faces` and `box_corners` replaced.
+# They must give the same bits: an impact point is written into the trace.
+
+
+def _np_box_corners(box):
+    c, s = math.cos(box.heading), math.sin(box.heading)
+    fwd = np.array([c, s])
+    left = np.array([-s, c])
+    centre = np.array([box.x, box.y])
+    hl, hw = box.length / 2.0, box.width / 2.0
+    return np.array(
+        [
+            centre + hl * fwd + hw * left,
+            centre - hl * fwd + hw * left,
+            centre - hl * fwd - hw * left,
+            centre + hl * fwd - hw * left,
+        ]
+    )
+
+
+def _np_cross(u, v):
+    return float(u[0] * v[1] - u[1] * v[0])
+
+
+def _np_intersect(p, q, a, b):
+    d1 = q - p
+    d2 = b - a
+    denom = _np_cross(d1, d2)
+    if denom == 0:
+        return q
+    t = _np_cross(a - p, d2) / denom
+    return p + t * d1
+
+
+def _np_clip_convex(subject, clip):
+    """Sutherland-Hodgman clip of one convex polygon by another (CCW input)."""
+    output = list(subject)
+    n = len(clip)
+    for i in range(n):
+        if not output:
+            break
+        a = clip[i]
+        b = clip[(i + 1) % n]
+        edge = b - a
+        inputs = output
+        output = []
+        for j in range(len(inputs)):
+            p = inputs[j]
+            q = inputs[(j + 1) % len(inputs)]
+            p_in = _np_cross(edge, p - a) >= 0
+            q_in = _np_cross(edge, q - a) >= 0
+            if p_in:
+                output.append(p)
+                if not q_in:
+                    output.append(_np_intersect(p, q, a, b))
+            elif q_in:
+                output.append(_np_intersect(p, q, a, b))
+    return np.array(output) if output else np.empty((0, 2))
+
+
+def _np_polygon_centroid(pts):
+    """Area centroid; the vertex mean for tiny/thin polygons."""
+    x, y = pts[:, 0], pts[:, 1]
+    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    cross = x * yn - xn * y
+    area = cross.sum() / 2.0
+    if abs(area) < 1e-12:
+        mean = pts.mean(axis=0)
+        return float(mean[0]), float(mean[1])
+    cx = ((x + xn) * cross).sum() / (6.0 * area)
+    cy = ((y + yn) * cross).sum() / (6.0 * area)
+    return float(cx), float(cy)
+
+
+def _np_impact_point(a, b):
+    poly = _np_clip_convex(_np_box_corners(a), _np_box_corners(b))
+    if len(poly) >= 3:
+        return _np_polygon_centroid(poly)
+    return ((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)
+
+
+def _np_facing(box, other):
+    d = np.array([other.x - box.x, other.y - box.y])
+    norm = np.linalg.norm(d)
+    if norm == 0:
+        return "front"
+    d = d / norm
+    c, s = math.cos(box.heading), math.sin(box.heading)
+    normals = {
+        "front": np.array([c, s]),
+        "rear": np.array([-c, -s]),
+        "left": np.array([-s, c]),
+        "right": np.array([s, -c]),
+    }
+    best = "front"
+    best_dot = -math.inf
+    for face in FACES:
+        dot = float(normals[face] @ d)
+        if dot > best_dot + 1e-12:
+            best = face
+            best_dot = dot
+    return best
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+def _assert_matches_the_oracle(a, b):
+    assert _bits(box_corners(a).ravel()) == _bits(_np_box_corners(a).ravel())
+    assert _bits(impact_point(a, b)) == _bits(_np_impact_point(a, b)), (a, b)
+    assert contact_faces(a, b) == (_np_facing(a, b), _np_facing(b, a)), (a, b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    pair=_box_pairs(),
+    offset=st.tuples(*[st.just(0.0) | st.floats(-1e12, 1e12) | st.floats(-1e3, 1e3)] * 2),
+    turn=st.just(0.0) | st.floats(-math.pi, math.pi),
+)
+def test_collision_attributes_match_the_numpy_oracle(pair, offset, turn):
+    # `turn` spins the second box about its centre: overlaps of up to 8
+    # vertices, where _box_pairs alone keeps the sides parallel
+    ox, oy = offset
+    a, b = (Box(box.x + ox, box.y + oy, box.heading, box.length, box.width) for box in pair)
+    _assert_matches_the_oracle(a, Box(b.x, b.y, b.heading + turn, b.length, b.width))
+
+
+@pytest.mark.parametrize("centre", [(0.0, 0.0), (10.0, 10.0), (1234.5, -678.25)])
+def test_eight_vertex_overlap_matches_the_oracle(centre):
+    # Equal squares, one turned 45 degrees: an octagon, whose sums numpy
+    # adds as a tree; left to right the centroid at the origin would read
+    # (1.1e-17, 1.1e-17), not (0, 0).
+    a = Box(*centre, 0.0, 2.0, 2.0)
+    b = Box(*centre, math.pi / 4.0, 2.0, 2.0)
+    assert len(_np_clip_convex(_np_box_corners(a), _np_box_corners(b))) == 8
+    _assert_matches_the_oracle(a, b)
+    if centre == (0.0, 0.0):
+        assert impact_point(a, b) == (0.0, 0.0)
+
+
+def test_sliver_overlap_takes_the_vertex_mean_as_the_oracle_does():
+    # 1e-13 m of a 2 m face: area 2e-13, below the 1e-12 floor
+    a = Box(0.0, 0.0, 0.0, 4.0, 2.0)
+    b = Box(4.0 - 1e-13, 0.0, 0.0, 4.0, 2.0)
+    poly = _np_clip_convex(_np_box_corners(a), _np_box_corners(b))
+    x, y = poly[:, 0], poly[:, 1]
+    assert len(poly) >= 3 and 0.0 < abs(float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))) / 2.0 < 1e-12
+    _assert_matches_the_oracle(a, b)
+    assert impact_point(a, b) == (pytest.approx(2.0), pytest.approx(0.0))
+
+
+@pytest.mark.parametrize("heading", [-2.4, 0.8, 2.3])
+def test_faces_at_the_tie_margin_match_the_oracle(heading):
+    # b's centre 45 degrees left of a's heading: front and left face it
+    # equally, and a tiny move across the bearing makes one lead by the
+    # 1e-12 tie margin.  There the last bit of each numpy dot product picks
+    # the face (unfused products pick another at these headings): walk b's
+    # y across that point one float at a time.
+    a = Box(1.5, -0.5, heading, 4.5, 2.0)
+    bx = a.x + 5.0 * math.cos(heading + math.pi / 4.0)
+    by = a.y + 5.0 * math.sin(heading + math.pi / 4.0)
+
+    def oracle(y):
+        return _np_facing(a, Box(bx, y, 0.0, 1.0, 1.0))
+
+    lo, hi = by - 1e-9, by + 1e-9
+    assert oracle(lo) != oracle(hi)
+    while math.nextafter(lo, hi) != hi:
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if oracle(mid) == oracle(lo) else (lo, mid)
+    ys = [lo, hi]
+    for _ in range(32):
+        ys += [math.nextafter(ys[-2], -math.inf), math.nextafter(ys[-1], math.inf)]
+    for y in ys:
+        b = Box(bx, y, 0.0, 1.0, 1.0)
+        assert contact_faces(a, b)[0] == oracle(y), y
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.floats(-1e6, 1e6) | st.sampled_from([1e16, -1e16, 0.0, -0.0]), max_size=64))
+def test_np_sum_adds_in_numpys_order(values):
+    assert _np_sum(list(values)).hex() == float(np.add.reduce(np.array(values, dtype=np.float64))).hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3))
+def test_fma_rounds_once(operands):
+    a, b, c = operands
+    exact = Fraction(a) * Fraction(b) + Fraction(c)
+    got = _fma(a, b, c)
+    if math.isinf(got):  # past the float range
+        assert abs(exact) >= Fraction(sys.float_info.max) and (got > 0) == (exact > 0)
+    else:
+        assert got == float(exact)
+
+
+def test_fma_of_infinities_and_nan():
+    assert _fma(math.inf, 2.0, 1.0) == math.inf
+    assert math.isnan(_fma(math.inf, 0.0, 1.0)) and math.isnan(_fma(2.0, 3.0, math.nan))
+    # a product past the float range is still finite inside a fused add
+    assert _fma(1e200, 1e200, -math.inf) == -math.inf and math.isnan(1e200 * 1e200 - math.inf)
+
+
+# --- engine: collision detection ---------------------------------------
+
+
+def _brute_force_detect(states, contacted, now, frame):
+    """Every active pair in declaration order through `obbs_overlap`."""
+    events = []
+    for i, a in enumerate(states):
+        for b in states[i + 1 :]:
+            box_a, box_b = a.box(), b.box()
+            if not (a.active and b.active) or (a.name, b.name) in contacted or not obbs_overlap(box_a, box_b):
+                continue
+            contacted.add((a.name, b.name))
+            faces = contact_faces(box_a, box_b)
+            rel = rel_heading_deg(a.heading, b.heading)
+            impact = impact_point(box_a, box_b)
+            klass = classify_collision(a.klass, b.klass, rel, faces)
+            events.append(CollisionEvent(now, frame, a.name, b.name, impact, rel, faces, klass))
+    return events
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pairs=st.lists(_box_pairs(), min_size=1, max_size=3),
+    data=st.data(),
+)
+def test_detect_finds_the_events_of_a_brute_force_loop(pairs, data):
+    boxes = [box for pair in pairs for box in pair]
+    states = [
+        AgentState(
+            f"agent{i}",
+            data.draw(st.sampled_from(AgentClass)),
+            box.x,
+            box.y,
+            box.heading,
+            1.0,
+            box.length,
+            box.width,
+            "cruise",
+            data.draw(st.booleans() | st.just(True)),
+        )
+        for i, box in enumerate(boxes)
+    ]
+    names = [(a.name, b.name) for i, a in enumerate(states) for b in states[i + 1 :]]
+    contacted = set(data.draw(st.lists(st.sampled_from(names), max_size=2)))
+    expected_contacted = set(contacted)
+    expected = _brute_force_detect(states, expected_contacted, 1.25, 25)
+    diagonals = [math.hypot(s.length, s.width) for s in states]
+    assert engine._detect(states, diagonals, contacted, 1.25, 25) == expected
+    assert contacted == expected_contacted
 
 
 # --- classifier --------------------------------------------------------
@@ -411,6 +670,28 @@ def test_map_int_past_the_float_range_is_map_error(tmp_path, lane, anchor, named
     path = _write_map(tmp_path, {"lanes": [lane], "anchors": {"c": anchor} if anchor else {}})
     with pytest.raises(MapError, match=named):
         load_map(path)
+
+
+@pytest.mark.parametrize(
+    "lane,anchor,named",
+    [
+        ({**_LANE, "centerline": [[1e200, 0], [1e200, 100]]}, {}, "lane 'a' centerline: point (1e+200, 0)"),
+        ({**_LANE, "centerline": [[0, 0], [0, -1.000001e12]]}, {}, "lane 'a' centerline: point (0, -1e+12)"),
+        (_LANE, {"x": 0, "y": 2e12}, "anchor 'c': point (0, 2e+12)"),
+    ],
+    ids=["far-lane", "lane-end-just-past", "far-anchor"],
+)
+def test_map_point_past_the_world_bound_is_map_error(tmp_path, lane, anchor, named):
+    path = _write_map(tmp_path, {"lanes": [lane], "anchors": {"c": anchor} if anchor else {}})
+    with pytest.raises(MapError, match=re.escape(named)):
+        load_map(path)
+
+
+def test_map_points_at_the_world_bound_load(tmp_path):
+    edge = MAX_WORLD_COORD
+    lane = {**_LANE, "centerline": [[-edge, -edge], [edge, edge]]}
+    world = load_map(_write_map(tmp_path, {"lanes": [lane], "anchors": {"c": {"x": edge, "y": -edge}}}))
+    assert world.lanes["a"].centerline[1] == (edge, edge) and world.anchors["c"].x == edge
 
 
 def test_map_file_must_be_utf8(tmp_path):

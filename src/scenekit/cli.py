@@ -24,6 +24,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from scenekit.condgen.bundle import BundleError, thread_map, usable_cpus, verify_bundle
 from scenekit.condgen.bundle import export_bundle  # noqa: F401 - perfbench's traced run rebinds it
 from scenekit.condgen.bundle import write_bundle, write_frame
@@ -294,16 +296,16 @@ def _render_inputs(args):
 
 
 def _control_maps(frame, world, camera, static, weights):
-    """One trace frame to its (seg, depth, edge, combined) control rasters."""
+    """One trace frame to its (seg, depth, edge, combined) control rasters.
+    Only the modalities with a weight are normalized; no weight at all
+    combines to zeros."""
     seg, depth = render_frame(frame, world, camera, static)
     edge = edge_from_seg(seg)
+    if not weights:
+        return seg, depth, edge, np.zeros(seg.shape, dtype=np.float32)
+    raw = {"seg": seg, "depth": depth, "edge": edge}
     combined = combine_controls(
-        {
-            "seg": normalize_modality(seg, "seg"),
-            "depth": normalize_modality(depth, "depth", camera.far_plane),
-            "edge": normalize_modality(edge, "edge"),
-        },
-        weights,
+        {name: normalize_modality(raw[name], name, camera.far_plane) for name in weights}, weights
     )
     return seg, depth, edge, combined
 

@@ -4,6 +4,7 @@ The server replays a scripted list of responses in request order, repeating
 the last entry once exhausted.  Entries are either plain content strings or
 dicts: {"content": "..."} for a completion, {"status": 429, "body": "..."}
 for an HTTP failure.  Received request payloads are recorded for assertions.
+Replies are HTTP/1.1, so a client may keep its connection open between calls.
 """
 
 from __future__ import annotations
@@ -58,6 +59,11 @@ class StubLLMServer:
         stub = self
 
         class Handler(BaseHTTPRequestHandler):
+            # keep-alive; without TCP_NODELAY each reply's body, written after
+            # its headers, waits for the client's delayed ACK
+            protocol_version = "HTTP/1.1"
+            disable_nagle_algorithm = True
+
             def log_message(self, *args):
                 pass
 

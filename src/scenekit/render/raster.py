@@ -76,20 +76,45 @@ def _dist_to_polyline(points: np.ndarray, polyline: np.ndarray) -> np.ndarray:
     return best
 
 
+# A computed lane distance is off from the true one by about a dozen
+# roundings, each at most half an ulp of a value no larger than four times
+# the scale: the largest coordinate of the lane's bounding box plus the
+# lane's reach (half its width plus the marking band).  That is under 2**-46
+# of the scale.  A point farther outside the box than the reach plus 2**-40
+# of the scale (about 0.9 m at MAX_WORLD_COORD) therefore computes a
+# distance past the reach and classifies as neither road nor marking; the
+# box bounds themselves round by far less.
+_BOX_ROUNDING = 2.0**-40
+
+
 def classify_ground(points: np.ndarray, world: WorldMap) -> np.ndarray:
     """Lane-derived class ids for (N, 2) world points.
 
     Road covers everything within half a lane width of a centerline; the
-    marking band straddles the lane boundary and paints over road.
+    marking band straddles the lane boundary and paints over road.  Each
+    lane measures only the points inside its centerline's bounding box,
+    grown by its reach: the points outside are neither.  A point's distance
+    has the same bits whichever points are measured with it, as long as
+    there are at least two: numpy rounds a one-row product another way.
     """
     ids = np.zeros(len(points), dtype=np.uint8)
     road = np.zeros(len(points), dtype=bool)
     marking = np.zeros(len(points), dtype=bool)
+    x, y = points[:, 0], points[:, 1]
     for lane in world.lanes.values():
-        d = _dist_to_polyline(points, np.asarray(lane.centerline, dtype=float))
+        line = np.asarray(lane.centerline, dtype=float)
         half = lane.width / 2.0
-        road |= d <= half
-        marking |= np.abs(d - half) <= MARKING_HALF_WIDTH
+        reach = half + MARKING_HALF_WIDTH
+        (x0, y0), (x1, y1) = line.min(axis=0), line.max(axis=0)
+        grow = reach + _BOX_ROUNDING * (max(-x0, -y0, x1, y1, 0.0) + reach)
+        near = np.flatnonzero((x >= x0 - grow) & (x <= x1 + grow) & (y >= y0 - grow) & (y <= y1 + grow))
+        if len(near) == 0:
+            continue
+        if len(near) == 1:
+            near = slice(None)
+        d = _dist_to_polyline(points[near], line)
+        road[near] |= d <= half
+        marking[near] |= np.abs(d - half) <= MARKING_HALF_WIDTH
     ids[road] = int(SegClass.ROAD)
     ids[marking] = int(SegClass.LANE_MARKING)
     return ids
@@ -217,6 +242,12 @@ def _paint_topdown(
 # the camera (the camera in it or on it) keeps the full grid.
 MIN_WINDOW_DEPTH = 1e-6
 
+# A clipped vertex is off by a few ulps of the box's largest camera-relative
+# coordinate, far below this share of it.  Unless the clip depth is above
+# that share, rounding may move a vertex onto the camera plane, so the box
+# keeps the full grid: a box 1e11 m long passing 0.1 m from the camera, say.
+_CLIP_ROUNDING = 2.0**-40
+
 # The 12 edges of a box whose corners are 4 footprint corners in cyclic
 # order at the ground, then the same 4 at the box's height.
 _BOX_EDGES = np.array(
@@ -226,6 +257,7 @@ _BOX_EDGES = np.array(
 )
 
 
+@np.errstate(all="ignore")  # a box at the float range's edge: inf and NaN, checked below
 def _pixel_window(camera: PinholeCamera, agent: AgentState) -> tuple[slice, slice] | None:
     """Rows and columns of the pixels whose rays can hit the agent's box.
 
@@ -238,8 +270,8 @@ def _pixel_window(camera: PinholeCamera, agent: AgentState) -> tuple[slice, slic
     (the image corners' rays), and no ray reaches the box before `gap`, its
     distance from the camera.  So the clip drops no point a ray can hit,
     and a box wholly behind the camera keeps no vertex and gets None.  Only
-    a camera in or on the box (`near` at or below MIN_WINDOW_DEPTH) leaves
-    the full grid.
+    a camera in or on the box (`near` at or below MIN_WINDOW_DEPTH), or a
+    clip that rounding could move to the camera plane, leaves the full grid.
     """
     forward, right, up = _camera_basis(camera)
     corners = np.zeros((8, 3))
@@ -254,11 +286,11 @@ def _pixel_window(camera: PinholeCamera, agent: AgentState) -> tuple[slice, slic
         local = np.array([ox * c + oy * s, -ox * s + oy * c, camera.z])
         hi = np.array([agent.length / 2.0, agent.width / 2.0, CLASS_HEIGHTS[agent.klass]])
         lo = np.array([-hi[0], -hi[1], 0.0])
-        gap = float(np.linalg.norm(local - np.clip(local, lo, hi)))
+        gap = float(np.linalg.norm(local - np.clip(local, lo, hi)))  # inf past 1e154 m
         u_max = max(abs(0.5 - cx), abs(camera.width - 0.5 - cx)) / camera.focal_px
         v_max = max(abs(cy - 0.5), abs(cy - camera.height + 0.5)) / camera.focal_px
         near = gap / math.sqrt(1.0 + u_max * u_max + v_max * v_max) / 2.0
-        if near <= MIN_WINDOW_DEPTH:
+        if near <= MIN_WINDOW_DEPTH or not near > _CLIP_ROUNDING * np.abs(rel).max():
             return slice(None), slice(None)
         a, b = _BOX_EDGES.T
         da, db = ahead[a] - near, ahead[b] - near
@@ -271,9 +303,8 @@ def _pixel_window(camera: PinholeCamera, agent: AgentState) -> tuple[slice, slic
             return None
         ahead = rel @ forward
     # Inverse of the pixel-center rays in _prepare_pinhole.
-    with np.errstate(over="ignore"):  # checked just below
-        cols = cx + camera.focal_px * (rel @ right) / ahead - 0.5
-        rows = cy - camera.focal_px * (rel @ up) / ahead - 0.5
+    cols = cx + camera.focal_px * (rel @ right) / ahead - 0.5
+    rows = cy - camera.focal_px * (rel @ up) / ahead - 0.5
     if not (np.isfinite(cols).all() and np.isfinite(rows).all()):
         return None  # a vertex projected past the float range: off-image
     j0 = max(0, math.floor(cols.min()) - 1)
@@ -362,12 +393,9 @@ def edge_from_seg(seg: np.ndarray) -> np.ndarray:
     pixel wide: an object outlines itself against whatever it sits on instead
     of smearing the boundary across both sides.
     """
-    s = seg.astype(np.int16)
-    padded = np.pad(s, 1, mode="edge")
     edge = np.zeros(seg.shape, dtype=bool)
-    h, w = seg.shape
-    edge |= padded[0:h, 1 : w + 1] < s  # neighbor above
-    edge |= padded[2 : h + 2, 1 : w + 1] < s  # below
-    edge |= padded[1 : h + 1, 0:w] < s  # left
-    edge |= padded[1 : h + 1, 2 : w + 2] < s  # right
-    return edge.astype(np.uint8)
+    edge[1:] = seg[:-1] < seg[1:]  # neighbor above
+    edge[:-1] |= seg[1:] < seg[:-1]  # below
+    edge[:, 1:] |= seg[:, :-1] < seg[:, 1:]  # left
+    edge[:, :-1] |= seg[:, 1:] < seg[:, :-1]  # right
+    return edge.view(np.uint8)

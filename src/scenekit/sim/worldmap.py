@@ -8,6 +8,7 @@ at the first centerline point to the lane's total length.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -49,9 +50,10 @@ class Lane:
         seg = []
         for (x0, y0), (x1, y1) in zip(self.centerline, self.centerline[1:]):
             d = math.hypot(x1 - x0, y1 - y0)
-            if d == 0:
-                raise MapError(f"lane {self.id!r}: zero-length centerline segment at ({x0}, {y0})")
-            if d * d == math.inf:  # `project` and the rasterizer square it
+            # `project` and the rasterizer divide by its square, a normal float
+            if d * d < sys.float_info.min:
+                raise MapError(f"lane {self.id!r}: centerline segment at ({x0}, {y0}) is too short")
+            if d * d == math.inf:
                 raise MapError(f"lane {self.id!r}: centerline segment at ({x0}, {y0}) is too long")
             seg.append(d)
         self.seg_lengths = tuple(seg)

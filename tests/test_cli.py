@@ -21,9 +21,15 @@ import pytest
 from scenekit import cli
 from scenekit.cli import main
 from scenekit.condgen.bundle import verify_bundle
+from scenekit.dsl.nodes import AgentClass
 from scenekit.promptgen.stubserver import StubLLMServer
-from scenekit.render.cameras import MAX_IMAGE_SIDE, MAX_RAY_SLOPE, MAX_WORLD_COORD, camera_from_dict
+from scenekit.render.cameras import MAX_IMAGE_SIDE, MAX_RAY_SLOPE, MAX_WORLD_COORD, PinholeCamera, TopDownCamera
+from scenekit.render.cameras import camera_from_dict
+from scenekit.render.combine import combine_controls, normalize_modality
 from scenekit.render.formats import read_pfm, read_pgm
+from scenekit.render.raster import prepare_static
+from scenekit.sim.engine import AgentState
+from scenekit.sim.worldmap import builtin_map
 
 FIXTURES = Path(__file__).parent / "data" / "fixtures"
 
@@ -1194,6 +1200,34 @@ def test_interrupted_bundle_reexport_leaves_no_manifest(tmp_path, short_trace, m
     missing = [f"no manifest.json in {out}"]
     assert len(seen) > frames // 2 and all(problems == missing for problems in seen)
     assert verify_bundle(out) == missing
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [{}, {"seg": 0.5}, {"depth": 0.3}, {"edge": 1.0}, {"seg": 0.2, "depth": 0.3, "edge": 0.4}],
+    ids=["none", "seg", "depth", "edge", "all"],
+)
+@pytest.mark.parametrize("variant", ["topdown", "pinhole"])
+def test_control_maps_combine_to_the_all_modality_formula(weights, variant):
+    world = builtin_map("crossing")
+    camera = (
+        TopDownCamera(0.0, 0.0, meters_per_pixel=0.5, width=40, height=32)
+        if variant == "topdown"
+        else PinholeCamera(x=-20.0, y=-6.0, z=6.0, yaw_deg=20.0, pitch_deg=15.0, focal_px=40.0, width=40, height=32)
+    )
+    ego = AgentState("ego", AgentClass.CAR, -4.0, -1.75, 0.0, 0.0, *AgentClass.CAR.default_dims, "idle")
+    static = prepare_static(world, camera)
+    seg, depth, edge, combined = cli._control_maps([ego], world, camera, static, weights)
+    every = {
+        "seg": normalize_modality(seg, "seg"),
+        "depth": normalize_modality(depth, "depth", camera.far_plane),
+        "edge": normalize_modality(edge, "edge"),
+    }
+    expected = combine_controls(every, weights)
+    assert combined.dtype == np.float32 and combined.shape == seg.shape
+    assert combined.tobytes() == expected.tobytes()
+    if not weights:
+        assert not combined.any()
 
 
 def test_bundle_frame_with_a_raster_off_the_camera_shape_is_a_domain_failure(

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scenekit.dsl.nodes import AgentClass
@@ -20,9 +20,16 @@ from scenekit.render import (
     render_frame,
 )
 from scenekit.render.cameras import CameraError
-from scenekit.render.raster import _pixel_window, _ray_box_hits, seg_class_of
+from scenekit.render.raster import (
+    MARKING_HALF_WIDTH,
+    _dist_to_polyline,
+    _pixel_window,
+    _ray_box_hits,
+    classify_ground,
+    seg_class_of,
+)
 from scenekit.sim.engine import AgentState
-from scenekit.sim.worldmap import WorldMap, builtin_map
+from scenekit.sim.worldmap import MAX_WORLD_COORD, Lane, MapError, WorldMap, builtin_map
 
 EMPTY_WORLD = WorldMap(name="void", lanes={}, anchors={})
 
@@ -165,6 +172,73 @@ def test_ground_classes_match_bruteforce_oracle():
                 if abs(d - lane.width / 2.0) <= 0.075:
                     expected = max(expected, 2)
             assert seg[i, j] == expected, (i, j, wx, wy)
+
+
+def _classify_every_point(points, world):
+    """classify_ground's formula with every point measured against every lane."""
+    road = np.zeros(len(points), dtype=bool)
+    marking = np.zeros(len(points), dtype=bool)
+    for lane in world.lanes.values():
+        d = _dist_to_polyline(points, np.asarray(lane.centerline, dtype=float))
+        half = lane.width / 2.0
+        road |= d <= half
+        marking |= np.abs(d - half) <= MARKING_HALF_WIDTH
+    ids = np.zeros(len(points), dtype=np.uint8)
+    ids[road] = int(SegClass.ROAD)
+    ids[marking] = int(SegClass.LANE_MARKING)
+    return ids
+
+
+@st.composite
+def _ground(draw):
+    """A few lanes near one place, up to the map bound, and points on their
+    band edges, on their grown bounding boxes' edges and around them."""
+    base = draw(
+        st.sampled_from([0.0, 1234.5, MAX_WORLD_COORD, -MAX_WORLD_COORD])
+        | st.floats(-MAX_WORLD_COORD, MAX_WORLD_COORD)
+    )
+    offset = st.floats(-30.0, 30.0)
+    lanes = {}
+    for k in range(draw(st.integers(1, 3))):
+        line = tuple((base + draw(offset), base + draw(offset)) for _ in range(draw(st.integers(2, 4))))
+        try:
+            lanes[f"l{k}"] = Lane(f"l{k}", draw(st.floats(0.01, 12.0)), line)
+        except MapError:  # two points rounded together
+            pass
+    assume(lanes)
+    points = [(base + draw(offset), base + draw(offset)) for _ in range(draw(st.integers(0, 20)))]
+    tiny = st.floats(-1e-3, 1e-3)
+    for lane in lanes.values():
+        line = np.asarray(lane.centerline)
+        half = lane.width / 2.0
+        for _ in range(draw(st.integers(0, 8))):  # at a band edge: half or half +- the marking
+            k = draw(st.integers(0, len(line) - 2))
+            seg = line[k + 1] - line[k]
+            normal = np.array([-seg[1], seg[0]]) / np.hypot(*seg)
+            across = draw(st.sampled_from([half, half - MARKING_HALF_WIDTH, half + MARKING_HALF_WIDTH]))
+            at = line[k] + draw(st.floats(0.0, 1.0)) * seg + (across + draw(tiny)) * normal
+            points.append(tuple(at))
+        reach = half + MARKING_HALF_WIDTH
+        (x0, y0), (x1, y1) = line.min(axis=0), line.max(axis=0)
+        for _ in range(draw(st.integers(0, 4))):  # on the grown box's edge
+            x = draw(st.sampled_from([x0 - reach, x1 + reach])) + draw(tiny)
+            points.append((x, draw(st.floats(y0 - reach, y1 + reach))))
+    return WorldMap(name="drawn", lanes=lanes), np.array(points, dtype=float).reshape(-1, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ground=_ground(), data=st.data())
+def test_ground_classes_match_every_point_formula_bit_for_bit(ground, data):
+    world, points = ground
+    assert classify_ground(points, world).tobytes() == _classify_every_point(points, world).tobytes()
+    # what the lane box rests on: a point's distance has the same bits in any
+    # subset of two or more points
+    if len(points) >= 2:
+        rows = data.draw(st.lists(st.integers(0, len(points) - 1), min_size=2, unique=True))
+        for lane in world.lanes.values():
+            line = np.asarray(lane.centerline, dtype=float)
+            every = _dist_to_polyline(points, line)
+            assert _dist_to_polyline(points[rows], line).tobytes() == every[rows].tobytes()
 
 
 def test_topdown_depth_constants():
@@ -371,6 +445,16 @@ def test_pinhole_box_straddling_camera_plane_is_clipped_to_a_window():
         assert cols.start <= hit_cols.min() and hit_cols.max() < cols.stop
 
 
+@pytest.mark.parametrize("length", [1e12, 1e300])
+def test_pinhole_huge_box_beside_the_camera_matches_full_grid(length):
+    # a box from far behind the camera to far ahead of it, 2 m to its left:
+    # clipping it near the camera plane loses every digit to rounding, so it
+    # keeps the full grid
+    wall = _agent("a", AgentClass.TRUCK, 0.0, 3.0, length=length)
+    seg = _assert_matches_full_grid([wall], EMPTY_WORLD, LEVEL_CAMERA)
+    assert (seg == SegClass.VEHICLE).any()
+
+
 def test_pinhole_box_off_screen_has_empty_window():
     truck = _agent("a", AgentClass.TRUCK, 10.0, 40.0)  # far left of a 62 degree view
     assert _pixel_window(LEVEL_CAMERA, truck) is None
@@ -449,6 +533,15 @@ def test_edge_matches_bruteforce_oracle_on_random_rasters():
     for _ in range(20):
         seg = rng.integers(0, 6, size=(23, 17)).astype(np.uint8)
         assert (edge_from_seg(seg) == _edge_oracle(seg)).all()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 17), (23, 1)], ids=["1x1", "1xN", "Nx1"])
+def test_edge_matches_bruteforce_oracle_on_thin_rasters(shape):
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        seg = rng.integers(0, 6, size=shape).astype(np.uint8)
+        edge = edge_from_seg(seg)
+        assert edge.dtype == np.uint8 and (edge == _edge_oracle(seg)).all()
 
 
 def test_edge_pixels_sit_on_class_boundaries():

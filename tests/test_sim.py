@@ -920,6 +920,13 @@ def test_lane_with_a_segment_whose_square_overflows_is_refused():
         Lane("a", 3.5, ((-1e308, 0.0), (1e308, 0.0)))  # the difference is already inf
 
 
+def test_lane_with_a_segment_whose_square_is_not_a_normal_float_is_refused():
+    Lane("a", 3.5, ((0.0, 0.0), (1e-150, 0.0)))  # squares to 1e-300
+    for end in ((0.0, 0.0), (1e-160, 0.0), (0.0, 1.777873076844156e-166)):
+        with pytest.raises(MapError, match="too short"):
+            Lane("a", 3.5, ((0.0, 0.0), end))
+
+
 def test_initial_overlap_raises_placement_error():
     ast, diags = compile_script(
         "ego = new Car at (0.0, 0.0)\nother = new Car at (1.0, 0.0)\n"

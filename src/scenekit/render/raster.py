@@ -263,7 +263,9 @@ def _pixel_window(camera: PinholeCamera, agent: AgentState) -> tuple[slice, slic
 
     The window is the bounding rectangle of the box's projected vertices,
     one pixel wider on every side and clamped to the image; None when that
-    is empty or a vertex projects past the float range (off-image).  A box
+    is empty.  A vertex that projects past the float range (to +-inf) counts
+    as lying off that side of the image; a NaN projection leaves the full
+    grid.  A box
     that reaches the camera plane is first clipped at the forward depth
     `near`, half the least depth any ray can hit it at: every
     ray meets the camera's forward axis at a cosine of at least `cos_edge`
@@ -305,8 +307,13 @@ def _pixel_window(camera: PinholeCamera, agent: AgentState) -> tuple[slice, slic
     # Inverse of the pixel-center rays in _prepare_pinhole.
     cols = cx + camera.focal_px * (rel @ right) / ahead - 0.5
     rows = cy - camera.focal_px * (rel @ up) / ahead - 0.5
-    if not (np.isfinite(cols).all() and np.isfinite(rows).all()):
-        return None  # a vertex projected past the float range: off-image
+    if np.isnan(cols).any() or np.isnan(rows).any():
+        return slice(None), slice(None)
+    # Clamped to the last values whose one-pixel margin still falls wholly
+    # outside the image: no finite window changes, and +-inf takes the window
+    # of a vertex far off that side.
+    cols = np.clip(cols, -2.0, camera.width + 1.0)
+    rows = np.clip(rows, -2.0, camera.height + 1.0)
     j0 = max(0, math.floor(cols.min()) - 1)
     j1 = min(camera.width, math.ceil(cols.max()) + 2)
     i0 = max(0, math.floor(rows.min()) - 1)

@@ -7,18 +7,31 @@ then position advances by speed * dt along the updated heading.  Behavior
 triggers are evaluated before motion against the previous frame and latch
 once fired.  Frame k sits at time k * dt (multiplied, not accumulated).
 
+What stays fixed for a run is worked out once, before the first step:
+
+- Pending triggers: a step evaluates only the agents whose trigger has not
+  fired yet, kept in a list that shrinks as triggers latch.
+- Moves: each agent's move for its phase (`_phase`) is picked at the start
+  and again only when its trigger latches or a cut-in merges; a crossing's
+  heading is computed once.
+- Collision pairs (`_pairs`): every pair in declaration order, with both
+  diagonals and the pair's key.  A step skips a pair unless both agents are
+  active and the pair has not touched yet.
+- The lane cache: each runtime holds its lane object next to the lane id,
+  looked up again only when the id changes.
+
 Each frame holds its own snapshot of every agent (`AgentState.snapshot`),
 taken after motion; the live states go on changing in place.  Collision
-detection runs the broad phase (`circles_apart`) on the states, with each
-agent's diagonal computed once a run, and builds boxes only for the pairs
-within reach, whose overlap `obbs_overlap` decides exactly.  Lane following
-carries s onto a successor lane (`_follow`) only when it passes the end of
-a lane that has one.
+detection runs the broad phase (`circles_apart`) on the states and builds
+boxes only for the pairs within reach, whose overlap `obbs_overlap`
+decides exactly.  Lane following carries s onto a successor lane
+(`_follow`) only when it passes the end of a lane that has one.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from scenekit.dsl.nodes import ActionKind, AgentClass
@@ -40,7 +53,7 @@ from scenekit.sim.geometry import (
     obbs_overlap,
     rel_heading_deg,
 )
-from scenekit.sim.worldmap import WorldMap
+from scenekit.sim.worldmap import Lane, WorldMap
 
 LOOKAHEAD_MIN = 2.0  # metres
 LOOKAHEAD_TIME = 0.5  # seconds of travel
@@ -134,11 +147,19 @@ class _Runtime:
     behavior: ConcreteBehavior | None
     triggered: bool = False
     lane_id: str | None = None
+    lane: Lane | None = None  # world.lanes[lane_id], looked up when lane_id changes
     s: float = 0.0
-    base_heading: float = 0.0
+    cross_heading: float = 0.0  # a crossing's heading once its trigger fires
     lateral_travel: float = 0.0
     merged: bool = False
+    # how the agent moves each step: `_phase` picks it at the start and again
+    # when the trigger latches or a cut-in merges
+    move: _Move | None = None
 
+
+_Move = Callable[[AgentState, _Runtime, WorldMap, float], None]
+# Two agents in declaration order, their diagonals and the pair's name key.
+_Pair = tuple[AgentState, AgentState, float, float, tuple[str, str]]
 
 _LANE_KINDS = (ActionKind.FOLLOW_LANE, ActionKind.BRAKE, ActionKind.CUT_IN)
 
@@ -149,6 +170,12 @@ _OFFSETS = {
     "left": lambda c, s: (-s, c),
     "right": lambda c, s: (s, -c),
 }
+
+# Angle of a cross or cut-in direction off the agent's heading.
+_TURNS = {"left": math.pi / 2.0, "right": -math.pi / 2.0, "forward": 0.0}
+
+_PI = math.pi
+_TWO_PI = 2.0 * math.pi
 
 
 def _instantiate(
@@ -190,12 +217,19 @@ def _instantiate(
             raise TypeError(f"unknown spatial {spatial!r}")
         poses[obj.name] = (x, y, heading)
 
-        rt = _Runtime(behavior=obj.behavior, base_heading=heading)
-        rt.triggered = obj.behavior is None or obj.behavior.trigger is None
+        behavior = obj.behavior
+        rt = _Runtime(behavior=behavior)
+        rt.triggered = behavior is None or behavior.trigger is None
         if isinstance(spatial, COnLane):
-            rt.lane_id, rt.s = spatial.lane, spatial.s
-        elif obj.behavior is not None and obj.behavior.kind in _LANE_KINDS:
+            rt.lane_id, rt.lane, rt.s = spatial.lane, lane, spatial.s
+        elif behavior is not None and behavior.kind in _LANE_KINDS:
+            if not world.lanes:
+                raise SampleError(f"object {obj.name!r}: map {world.name!r} has no lane to follow")
             rt.lane_id, rt.s, _ = world.nearest_lane(x, y)
+            rt.lane = world.lanes[rt.lane_id]
+        if behavior is not None and behavior.kind is ActionKind.CROSS:
+            rt.cross_heading = _wrap(heading + _TURNS[behavior.direction])
+        rt.move = _phase(rt)
 
         states.append(
             AgentState(
@@ -207,7 +241,7 @@ def _instantiate(
                 speed=obj.init_speed,
                 length=obj.dims[0],
                 width=obj.dims[1],
-                behavior_state=_initial_state(obj.behavior, obj.init_speed),
+                behavior_state=_initial_state(behavior, obj.init_speed),
             )
         )
         runtimes.append(rt)
@@ -239,27 +273,35 @@ def run(scenario: ConcreteScenario, world: WorldMap, config: SimConfig = SimConf
     states, runtimes = _instantiate(scenario, world)
     # Live states by name: before motion they hold the previous frame's poses.
     by_name = {s.name: s for s in states}
-    diagonals = [math.hypot(s.length, s.width) for s in states]  # sides never change
+    agents = list(zip(states, runtimes))
+    pending = [(s, rt) for s, rt in agents if not rt.triggered]
+    pairs = _pairs(states)
     frames: list[tuple[AgentState, ...]] = [tuple([s.snapshot() for s in states])]
     events: list[CollisionEvent] = []
     contacted: set[tuple[str, str]] = set()
-    n_steps = round(config.max_duration / config.dt)
+    dt = config.dt
+    n_steps = round(config.max_duration / dt)
     termination = "timeout"
+    now = 0.0
 
     for k in range(1, n_steps + 1):
-        prev_time = (k - 1) * config.dt
-        now = k * config.dt
+        prev_time, now = now, k * dt
 
-        for state, rt in zip(states, runtimes):
-            if state.active and not rt.triggered:
-                rt.triggered = _fired(rt.behavior.trigger, by_name, prev_time)
-        for state, rt in zip(states, runtimes):
+        if pending:
+            latched = False
+            for state, rt in pending:
+                if state.active and _fired(rt.behavior.trigger, by_name, prev_time):
+                    rt.triggered = latched = True
+                    rt.move = _phase(rt)
+            if latched:
+                pending = [(s, rt) for s, rt in pending if not rt.triggered]
+        for state, rt in agents:
             if state.active:
-                _advance(state, rt, world, config.dt)
+                rt.move(state, rt, world, dt)
 
         frames.append(tuple([s.snapshot() for s in states]))
 
-        new_events = _detect(states, diagonals, contacted, now, k)
+        new_events = _detect(pairs, contacted, now, k)
         events.extend(new_events)
         if new_events and config.collision_stop:
             termination = "collision"
@@ -274,7 +316,7 @@ def run(scenario: ConcreteScenario, world: WorldMap, config: SimConfig = SimConf
 
     return Trace(
         map_name=world.name,
-        dt=config.dt,
+        dt=dt,
         frames=frames,
         events=events,
         termination=termination,
@@ -292,52 +334,58 @@ def _fired(trigger: CTrigger, states_by_name: dict[str, AgentState], t: float) -
     return math.hypot(obj.x - ego.x, obj.y - ego.y) < trigger.value
 
 
-def _advance(state: AgentState, rt: _Runtime, world: WorldMap, dt: float) -> None:
+def _phase(rt: _Runtime) -> _Move:
+    """The move for the runtime's behavior, trigger and merge state.
+
+    IDLE and STOP hold still whether or not their trigger has fired.  The
+    lane kinds hold the lane at the current speed before their trigger
+    fires and once a cut-in has merged.
+    """
     b = rt.behavior
     if b is None:
-        _straight(state, dt)
-        return
-    if b.kind is ActionKind.IDLE or b.kind is ActionKind.STOP:
-        state.speed = 0.0
-        state.behavior_state = "idle" if b.kind is ActionKind.IDLE else "stopped"
-        return
+        return _coast
     if b.kind in _LANE_KINDS and (not rt.triggered or rt.merged):
-        # Before the trigger fires, and once a cut-in has merged: hold the
-        # lane at the current speed.
-        _pursuit(state, rt, world, dt, state.speed)
-        if state.behavior_state != "stopped":
-            state.behavior_state = "merged" if rt.merged else "cruise"
-        return
-    if b.kind is ActionKind.FOLLOW_LANE:
-        _pursuit(state, rt, world, dt, b.args[0])
-        if state.behavior_state != "stopped":
-            state.behavior_state = "cruise"
-        return
-    if b.kind is ActionKind.BRAKE:
-        speed = max(0.0, state.speed - b.args[0] * dt)
-        _pursuit(state, rt, world, dt, speed)
-        state.behavior_state = "stopped" if speed == 0.0 else "braking"
-        return
-    if b.kind is ActionKind.CROSS:
-        if not rt.triggered:
-            state.speed = 0.0
-            state.behavior_state = "waiting"
-            return
-        offset = {"left": math.pi / 2.0, "right": -math.pi / 2.0, "forward": 0.0}[b.direction]
-        state.heading = _wrap(rt.base_heading + offset)
-        state.speed = b.args[0]
-        _straight(state, dt)
-        state.behavior_state = "crossing"
-        return
-    if b.kind is ActionKind.CUT_IN:
-        _cut_in(state, rt, world, dt, b)
-        return
-    raise TypeError(f"unknown behavior kind {b.kind!r}")
+        return _hold_lane
+    if b.kind is ActionKind.CROSS and not rt.triggered:
+        return _hold_still
+    return _MOVES[b.kind]
 
 
-def _straight(state: AgentState, dt: float) -> None:
+def _coast(state: AgentState, rt: _Runtime, world: WorldMap, dt: float) -> None:
+    """Straight on at the current speed and heading."""
     state.x += state.speed * math.cos(state.heading) * dt
     state.y += state.speed * math.sin(state.heading) * dt
+
+
+def _hold_still(state: AgentState, rt: _Runtime, world: WorldMap, dt: float) -> None:
+    """idle, stop, and cross before its trigger: the label stays the one
+    `_initial_state` gave."""
+    state.speed = 0.0
+
+
+def _hold_lane(state: AgentState, rt: _Runtime, world: WorldMap, dt: float) -> None:
+    _pursuit(state, rt, world, dt, state.speed)
+    if state.behavior_state != "stopped":
+        state.behavior_state = "merged" if rt.merged else "cruise"
+
+
+def _follow_lane(state: AgentState, rt: _Runtime, world: WorldMap, dt: float) -> None:
+    _pursuit(state, rt, world, dt, rt.behavior.args[0])
+    if state.behavior_state != "stopped":
+        state.behavior_state = "cruise"
+
+
+def _brake(state: AgentState, rt: _Runtime, world: WorldMap, dt: float) -> None:
+    speed = max(0.0, state.speed - rt.behavior.args[0] * dt)
+    _pursuit(state, rt, world, dt, speed)
+    state.behavior_state = "stopped" if speed == 0.0 else "braking"
+
+
+def _cross(state: AgentState, rt: _Runtime, world: WorldMap, dt: float) -> None:
+    state.heading = rt.cross_heading
+    state.speed = rt.behavior.args[0]
+    _coast(state, rt, world, dt)
+    state.behavior_state = "crossing"
 
 
 def _follow(world: WorldMap, lane_id: str, s: float) -> tuple[str, float]:
@@ -370,40 +418,58 @@ def _pursuit(state: AgentState, rt: _Runtime, world: WorldMap, dt: float, speed:
     """Advance along the assigned lane with pure-pursuit steering.
 
     `_follow` runs only when s passes the end of a lane with a successor:
-    elsewhere it would return s unchanged.
+    elsewhere it would return s unchanged.  The lookahead, `_wrap` and the
+    straight-line step are written out here, the same operations in the
+    same order, since this runs for most agents on every step.
     """
-    lane = world.lanes[rt.lane_id]
+    lane = rt.lane
+    length = lane.length
     s = rt.s + speed * dt
-    if s > lane.length and lane.successors:
+    if s > length and lane.successors:
         rt.lane_id, s = _follow(world, rt.lane_id, s)
-        lane = world.lanes[rt.lane_id]
-    if s > lane.length:
-        state.x, state.y = lane.point_at(lane.length)
-        state.heading = lane.heading_at(lane.length)
+        rt.lane = lane = world.lanes[rt.lane_id]
+        length = lane.length
+    if s > length:
+        state.x, state.y = lane.point_at(length)
+        state.heading = lane.heading_at(length)
         state.speed = 0.0
-        rt.s = lane.length
+        rt.s = length
         state.behavior_state = "stopped"
         return
     rt.s = s
-    lookahead = max(LOOKAHEAD_MIN, LOOKAHEAD_TIME * speed)
+    # max(LOOKAHEAD_MIN, LOOKAHEAD_TIME * speed), NaN giving LOOKAHEAD_MIN
+    lookahead = LOOKAHEAD_TIME * speed
+    if not lookahead > LOOKAHEAD_MIN:
+        lookahead = LOOKAHEAD_MIN
     target, target_s = lane, s + lookahead
-    if target_s > lane.length and lane.successors:
+    if target_s > length and lane.successors:
         target_id, target_s = _follow(world, rt.lane_id, target_s)
         target = world.lanes[target_id]
-    tx, ty = target.point_at(min(target_s, target.length))
-    alpha = _wrap(math.atan2(ty - state.y, tx - state.x) - state.heading)
-    state.heading = _wrap(state.heading + speed * (2.0 * math.sin(alpha) / lookahead) * dt)
+    if target.length < target_s:
+        target_s = target.length
+    tx, ty = target.point_at(target_s)
+    x, y, heading = state.x, state.y, state.heading
+    alpha = (math.atan2(ty - y, tx - x) - heading + _PI) % _TWO_PI
+    if alpha <= 0:
+        alpha += _TWO_PI
+    alpha -= _PI
+    heading = (heading + speed * (2.0 * math.sin(alpha) / lookahead) * dt + _PI) % _TWO_PI
+    if heading <= 0:
+        heading += _TWO_PI
+    heading -= _PI
+    state.heading = heading
     state.speed = speed
-    _straight(state, dt)
+    state.x = x + speed * math.cos(heading) * dt
+    state.y = y + speed * math.sin(heading) * dt
 
 
-def _cut_in(state: AgentState, rt: _Runtime, world: WorldMap, dt: float, b: ConcreteBehavior) -> None:
+def _cut_in(state: AgentState, rt: _Runtime, world: WorldMap, dt: float) -> None:
     """Drift laterally toward the adjacent lane while keeping forward speed."""
-    lane = world.lanes[rt.lane_id]
+    lane = rt.lane
     rt.s = min(rt.s + state.speed * dt, lane.length)
     tangent = lane.heading_at(rt.s)
-    normal = tangent + (math.pi / 2.0 if b.direction == "left" else -math.pi / 2.0)
-    rate = b.args[0]
+    normal = tangent + _TURNS[rt.behavior.direction]
+    rate = rt.behavior.args[0]
     vx = state.speed * math.cos(tangent) + rate * math.cos(normal)
     vy = state.speed * math.sin(tangent) + rate * math.sin(normal)
     state.x += vx * dt
@@ -413,15 +479,36 @@ def _cut_in(state: AgentState, rt: _Runtime, world: WorldMap, dt: float, b: Conc
     if rt.lateral_travel >= lane.width:
         rt.merged = True
         rt.lane_id, rt.s, _ = world.nearest_lane(state.x, state.y)
-        state.heading = world.lanes[rt.lane_id].heading_at(rt.s)
+        rt.lane = world.lanes[rt.lane_id]
+        state.heading = rt.lane.heading_at(rt.s)
         state.behavior_state = "merged"
+        rt.move = _phase(rt)
     else:
         state.behavior_state = "cutting"
 
 
+_MOVES = {
+    ActionKind.FOLLOW_LANE: _follow_lane,
+    ActionKind.BRAKE: _brake,
+    ActionKind.CROSS: _cross,
+    ActionKind.CUT_IN: _cut_in,
+    ActionKind.IDLE: _hold_still,
+    ActionKind.STOP: _hold_still,
+}
+
+
+def _pairs(states: list[AgentState]) -> list[_Pair]:
+    """Every pair of agents, with their diagonals (sides never change)."""
+    diagonals = [math.hypot(s.length, s.width) for s in states]
+    return [
+        (a, b, diagonals[i], diagonals[j], (a.name, b.name))
+        for i, a in enumerate(states)
+        for j, b in enumerate(states[i + 1 :], i + 1)
+    ]
+
+
 def _detect(
-    states: list[AgentState],
-    diagonals: list[float],
+    pairs: list[_Pair],
     contacted: set[tuple[str, str]],
     now: float,
     frame: int,
@@ -432,36 +519,42 @@ def _detect(
     a pair within reach, whose overlap `obbs_overlap` then decides.
     """
     events = []
-    live = [(s, d) for s, d in zip(states, diagonals) if s.active]
-    for i, (a, diag_a) in enumerate(live):
-        for b, diag_b in live[i + 1 :]:
-            key = (a.name, b.name)
-            if key in contacted or circles_apart(a.x, a.y, diag_a, b.x, b.y, diag_b):
-                continue
-            box_a, box_b = a.box(), b.box()
-            if not obbs_overlap(box_a, box_b):
-                continue
-            contacted.add(key)
-            faces = contact_faces(box_a, box_b)
-            rel = rel_heading_deg(a.heading, b.heading)
-            events.append(
-                CollisionEvent(
-                    time=now,
-                    frame=frame,
-                    agent_a=a.name,
-                    agent_b=b.name,
-                    impact=impact_point(box_a, box_b),
-                    rel_heading_deg=rel,
-                    faces=faces,
-                    classification=classify_collision(a.klass, b.klass, rel, faces),
-                )
+    for a, b, diag_a, diag_b, key in pairs:
+        if (
+            not (a.active and b.active)
+            or circles_apart(a.x, a.y, diag_a, b.x, b.y, diag_b)
+            or key in contacted
+        ):
+            continue
+        box_a, box_b = a.box(), b.box()
+        if not obbs_overlap(box_a, box_b):
+            continue
+        contacted.add(key)
+        faces = contact_faces(box_a, box_b)
+        rel = rel_heading_deg(a.heading, b.heading)
+        events.append(
+            CollisionEvent(
+                time=now,
+                frame=frame,
+                agent_a=a.name,
+                agent_b=b.name,
+                impact=impact_point(box_a, box_b),
+                rel_heading_deg=rel,
+                faces=faces,
+                classification=classify_collision(a.klass, b.klass, rel, faces),
             )
+        )
     return events
 
 
 def _wrap(angle: float) -> float:
-    """Fold into (-pi, pi]."""
-    a = math.fmod(angle + math.pi, 2.0 * math.pi)
+    """Fold into (-pi, pi]; an infinite angle gives NaN.
+
+    `%` is C's fmod with the result moved into [0, 2 pi): the same bits as
+    `math.fmod` followed by the `<= 0` step, where `math.fmod` would raise
+    on an infinite angle.
+    """
+    a = (angle + _PI) % _TWO_PI
     if a <= 0:
-        a += 2.0 * math.pi
-    return a - math.pi
+        a += _TWO_PI
+    return a - _PI

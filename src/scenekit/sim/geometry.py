@@ -78,15 +78,17 @@ def signed_separation(a: Box, b: Box) -> float:
     """Minimum projected overlap across all four separating axes.
 
     Positive means the boxes interpenetrate by that depth; negative means
-    there is a separating axis with that much clearance.
+    there is a separating axis with that much clearance.  Boxes past the
+    float range (a pose or side at or near inf) give inf or NaN silently.
     """
     ca, cb = box_corners(a), box_corners(b)
     result = math.inf
-    for axis in np.vstack([_axes(a), _axes(b)]):
-        pa = ca @ axis
-        pb = cb @ axis
-        overlap = min(pa.max(), pb.max()) - max(pa.min(), pb.min())
-        result = min(result, overlap)
+    with np.errstate(all="ignore"):
+        for axis in np.vstack([_axes(a), _axes(b)]):
+            pa = ca @ axis
+            pb = cb @ axis
+            overlap = min(pa.max(), pb.max()) - max(pa.min(), pb.min())
+            result = min(result, overlap)
     return float(result)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -64,13 +65,17 @@ class Lane:
         self.length = cum[-1]
 
     def _segment_at(self, s: float) -> tuple[int, float]:
-        """Segment index and distance into it, with s clamped to [0, length]."""
-        s = min(max(s, 0.0), self.length)
-        cum = self.cum_s
-        for i in range(1, len(cum)):
-            if s <= cum[i]:
-                return i - 1, s - cum[i - 1]
-        return len(self.seg_lengths) - 1, self.seg_lengths[-1]  # s is NaN
+        """Segment index and distance into it, with s clamped to [0, length]:
+        the first segment whose end is at or past s.  A NaN s gives the whole
+        last segment."""
+        if s < 0.0:  # min(max(s, 0.0), length), NaN and -0.0 kept
+            s = 0.0
+        elif s > self.length:
+            s = self.length
+        if s != s:
+            return len(self.seg_lengths) - 1, self.seg_lengths[-1]
+        i = bisect_left(self.cum_s, s, 1)
+        return i - 1, s - self.cum_s[i - 1]
 
     def point_at(self, s: float) -> tuple[float, float]:
         i, into = self._segment_at(s)

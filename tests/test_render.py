@@ -483,6 +483,17 @@ def test_pinhole_box_projected_past_the_float_range_draws_nothing():
     assert not (seg == SegClass.VEHICLE).any()
 
 
+@pytest.mark.parametrize("width", [1e300, 1.7e308])
+def test_pinhole_box_wider_than_the_float_range_keeps_its_window(width):
+    # a truck 10 m long across the whole view 15 m ahead: at 1.7e308 m wide
+    # its side corners project to +-inf columns, which still bound the window
+    camera = PinholeCamera(x=0.0, y=0.0, z=1.5, focal_px=40.0, width=48, height=40)
+    truck = _agent("a", AgentClass.TRUCK, 15.0, 0.0, length=10.0, width=width)
+    assert _pixel_window(camera, truck) == (slice(12, 28), slice(0, 48))
+    seg = _assert_matches_full_grid([truck], EMPTY_WORLD, camera)
+    assert np.count_nonzero(seg == SegClass.VEHICLE) == 576
+
+
 def test_pinhole_box_in_view_is_windowed():
     car = _agent("a", AgentClass.CAR, 15.0, 1.0, heading=0.4)
     rows, cols = _pixel_window(LEVEL_CAMERA, car)

@@ -16,8 +16,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenekit.dsl import compile_script
-from scenekit.dsl.nodes import AgentClass
-from scenekit.dsl.sampler import SampleError, sample_parameters, sample_variations
+from scenekit.dsl.nodes import ActionKind, AgentClass
+from scenekit.dsl.sampler import (
+    CAbsolute,
+    COnLane,
+    ConcreteBehavior,
+    ConcreteObject,
+    ConcreteScenario,
+    CRelative,
+    CTrigger,
+    SampleError,
+    sample_parameters,
+    sample_variations,
+)
 from scenekit.sim import engine, geometry
 from scenekit.sim.classify import CollisionClass, classify_collision
 from scenekit.sim.engine import AgentState, CollisionEvent, PlacementError, SimConfig, run
@@ -536,8 +547,7 @@ def test_detect_finds_the_events_of_a_brute_force_loop(pairs, data):
     contacted = set(data.draw(st.lists(st.sampled_from(names), max_size=2)))
     expected_contacted = set(contacted)
     expected = _brute_force_detect(states, expected_contacted, 1.25, 25)
-    diagonals = [math.hypot(s.length, s.width) for s in states]
-    assert engine._detect(states, diagonals, contacted, 1.25, 25) == expected
+    assert engine._detect(engine._pairs(states), contacted, 1.25, 25) == expected
     assert contacted == expected_contacted
 
 
@@ -603,6 +613,45 @@ def test_builtin_crossing_lane_graph():
     assert world.lanes["w_in"].successors == ("e_out",)
     assert world.lanes["w_in"].heading_at(10.0) == pytest.approx(0.0)
     assert world.lanes["s_in"].heading_at(10.0) == pytest.approx(math.pi / 2.0)
+
+
+def _segment_at_by_loop(lane, s):
+    """The segment lookup as a loop over the segments: the reference for
+    `Lane._segment_at`."""
+    s = min(max(s, 0.0), lane.length)
+    for i in range(1, len(lane.cum_s)):
+        if s <= lane.cum_s[i]:
+            return i - 1, s - lane.cum_s[i - 1]
+    return len(lane.seg_lengths) - 1, lane.seg_lengths[-1]  # s is NaN
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(st.sampled_from([1e-150, 1e-3, 1.0, 7.5, 1e6, 1e12]), st.floats(-math.pi, math.pi)),
+        min_size=1,
+        max_size=6,
+    ),
+    data=st.data(),
+)
+def test_segment_lookup_matches_the_loop(steps, data):
+    # segments from 1e-150 m (which vanishes beside the others in cum_s) to
+    # 1e12 m; s at every cum_s value and its neighbours, past both ends, NaN
+    points = [(0.0, 0.0)]
+    for d, heading in steps:
+        x, y = points[-1]
+        points.append((x + d * math.cos(heading), y + d * math.sin(heading)))
+    try:
+        lane = Lane("a", 3.5, tuple(points))
+    except MapError:  # a segment too short
+        return
+    near = [v for c in lane.cum_s for v in (math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf))]
+    s_values = near + [-0.0, -1.0, math.inf, -math.inf, math.nan]
+    s_values += data.draw(st.lists(st.floats(-1.0, lane.length * 1.1), max_size=5))
+    for s in s_values:
+        i, into = lane._segment_at(s)
+        want_i, want_into = _segment_at_by_loop(lane, s)
+        assert (i, _bits([into])) == (want_i, _bits([want_into])), s
 
 
 def test_unknown_builtin_map():
@@ -891,14 +940,23 @@ def test_end_of_lane_without_successor_stops():
     assert last.x == pytest.approx(200.0)
 
 
-def _loop_world() -> WorldMap:
-    """Four 50 m lanes round a square, a -> b -> c -> d -> a."""
+def _loop_world(bulge: float = 0.0) -> WorldMap:
+    """Four lanes round a 50 m square, a -> b -> c -> d -> a.  With a bulge,
+    each lane has three segments, its two inner points standing that far
+    left and right of the square's side."""
     corners = [(0.0, 0.0), (50.0, 0.0), (50.0, 50.0), (0.0, 50.0)]
     ids = "abcd"
-    lanes = {
-        lane_id: Lane(lane_id, 3.5, (corners[k], corners[(k + 1) % 4]), (ids[(k + 1) % 4],))
-        for k, lane_id in enumerate(ids)
-    }
+    lanes = {}
+    for k, lane_id in enumerate(ids):
+        (x0, y0), (x1, y1) = corners[k], corners[(k + 1) % 4]
+        points = [(x0, y0), (x1, y1)]
+        if bulge:
+            ux, uy = (x1 - x0) / 50.0, (y1 - y0) / 50.0
+            points[1:1] = [
+                (x0 + 20.0 * ux - bulge * uy, y0 + 20.0 * uy + bulge * ux),
+                (x0 + 35.0 * ux + bulge * uy, y0 + 35.0 * uy - bulge * ux),
+            ]
+        lanes[lane_id] = Lane(lane_id, 3.5, tuple(points), (ids[(k + 1) % 4],))
     return WorldMap("loop", lanes)
 
 
@@ -942,6 +1000,16 @@ def test_unknown_lane_is_a_sample_error():
     assert ast is not None and diags == []
     with pytest.raises(SampleError, match="zz_9"):
         run(sample_parameters(ast, 0), builtin_map("straight"))
+
+
+def test_lane_behavior_on_a_map_without_lanes_is_a_sample_error():
+    ast, diags = compile_script(
+        "behavior Cruise(v):\n    follow lane at v\n"
+        "ego = new Car at (0.0, 0.0) with speed 5.0 with behavior Cruise(5.0)\n"
+    )
+    assert ast is not None and diags == []
+    with pytest.raises(SampleError, match="no lane to follow"):
+        run(sample_parameters(ast, 0), WorldMap("empty", {}))
 
 
 def test_position_beyond_lane_end_is_a_sample_error():
@@ -994,6 +1062,110 @@ def test_frames_hold_their_own_states(monkeypatch):
     assert trace_to_dict(trace) == before
 
 
+# --- engine: any scenario the loaders accept -----------------------------
+
+FAR = MAX_WORLD_COORD
+# Where a map or script may put a point, often at the bound itself.
+COORDS = st.floats(-FAR, FAR) | st.sampled_from([-FAR, FAR, math.nextafter(FAR, 0.0), 0.0])
+BIGGEST = sys.float_info.max
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-BIGGEST, BIGGEST, -1e154, 1e154])
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False) | st.sampled_from([BIGGEST, 5e-324])
+
+
+@st.composite
+def _limit_worlds(draw):
+    """A builtin map, a loop of multi-segment lanes, a map with no lanes, or
+    one lane of up to three segments near the world bound, maybe its own
+    successor."""
+    kind = draw(st.sampled_from(["straight", "crossing", "loop", "empty", "far"]))
+    if kind == "loop":
+        return _loop_world(bulge=0.5)
+    if kind == "empty":
+        return WorldMap("empty", {})
+    if kind == "far":
+        points = draw(st.lists(st.tuples(COORDS, COORDS), min_size=2, max_size=4))
+        successors = draw(st.sampled_from([(), ("far",)]))
+        try:
+            return WorldMap("far", {"far": Lane("far", 3.5, tuple(points), successors)})
+        except MapError:  # a segment too short
+            return WorldMap("empty", {})
+    return builtin_map(kind)
+
+
+def _limit_triggers(names):
+    return (
+        st.none()
+        | st.builds(CTrigger, st.just("time"), value=FINITE)
+        | st.builds(CTrigger, st.just("distance"), st.sampled_from(names), FINITE)
+    )
+
+
+@st.composite
+def _limit_objects(draw, world, names):
+    objects = []
+    for i, name in enumerate(names):
+        placement = draw(st.sampled_from(["absolute", "relative", "lane"]))
+        if placement == "lane" and world.lanes:
+            lane_id = draw(st.sampled_from(sorted(world.lanes)))
+            length = world.lanes[lane_id].length
+            ends = [0.0, length, math.nextafter(length, 0.0), math.nextafter(length, math.inf)]
+            spatial = COnLane(lane_id, draw(st.floats(0.0, length) | st.sampled_from(ends)))
+        elif placement == "relative" and i:
+            kind = draw(st.sampled_from(["ahead", "behind", "left", "right"]))
+            spatial = CRelative(kind, draw(st.sampled_from(names[:i])), draw(FINITE))
+        else:
+            spatial = CAbsolute(draw(COORDS), draw(COORDS), draw(FINITE))
+        klass = draw(st.sampled_from(AgentClass))
+        dims = draw(st.just(klass.default_dims) | st.tuples(POSITIVE, POSITIVE))
+        behavior = None
+        kind = draw(st.none() | st.sampled_from(ActionKind))
+        if kind is not None:
+            moves = kind not in (ActionKind.IDLE, ActionKind.STOP)
+            directions = {ActionKind.CROSS: ["left", "right", "forward"], ActionKind.CUT_IN: ["left", "right"]}
+            behavior = ConcreteBehavior(
+                kind,
+                (draw(FINITE),) if moves else (),
+                draw(st.sampled_from(directions[kind])) if kind in directions else None,
+                draw(_limit_triggers(names)),
+            )
+        objects.append(ConcreteObject(name, klass, spatial, draw(FINITE), dims, behavior))
+    return tuple(objects)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_run_at_the_loader_limits_raises_only_its_own_errors(data):
+    # speeds, dims, rates and trigger values anywhere in the float range, s at
+    # a lane's end, placements at the world bound and far beyond it
+    world = data.draw(_limit_worlds())
+    names = ["ego", "b", "c"][: data.draw(st.integers(1, 3))]
+    scenario = ConcreteScenario(
+        seed=0,
+        params=(),
+        objects=data.draw(_limit_objects(world, names)),
+        termination=data.draw(_limit_triggers(names)),
+    )
+    dt = data.draw(st.floats(1e-4, 10.0))
+    config = SimConfig(dt, dt * data.draw(st.integers(1, 60)), data.draw(st.booleans()))
+    try:
+        trace = run(scenario, world, config)
+    except (SampleError, PlacementError):
+        return
+    assert len(trace.frames) <= round(config.max_duration / config.dt) + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(angle=FINITE | st.sampled_from([k * math.pi for k in range(-4, 5)] + [math.inf, -math.inf]))
+def test_wrap_folds_as_fmod_does_and_takes_infinity_to_nan(angle):
+    if math.isinf(angle):
+        assert math.isnan(engine._wrap(angle))  # math.fmod would raise
+        return
+    a = math.fmod(angle + math.pi, 2.0 * math.pi)
+    if a <= 0:
+        a += 2.0 * math.pi
+    assert _bits([engine._wrap(angle)]) == _bits([a - math.pi])
+
+
 # The library scripts on the maps perfbench's script-screen pairs them with.
 LIBRARY_MAPS = (
     ("rear_end.scn", "straight"),
@@ -1019,6 +1191,98 @@ def test_library_traces_match_the_golden_digest():
                 trace = run(scenario, world, SimConfig(collision_stop=collision_stop))
                 digest.update(trace_json_bytes(trace))
     assert digest.hexdigest() == "c0880e55fa4369a187b706e39570af325a4bb05dc7dc290df0f956858865e97d"
+
+
+# Scripts for the engine paths the library scripts never take, each with its
+# map and the steps (dt) it runs at.
+ENGINE_PATH_SCRIPTS = (
+    # idle and stop, an agent with no behavior, relative placements ahead,
+    # behind, left and right, terminate on distance
+    (
+        "param wait = Range(0.5, 1.5)\n"
+        "param gap = Range(30.0, 40.0)\n"
+        "behavior Rest():\n    idle\n"
+        "behavior Halt(t):\n    stop when time above t\n"
+        "behavior Cruise(v):\n    follow lane at v\n"
+        "ego = new Car on lane main_a at 10.0 with speed 9.0 with behavior Cruise(9.0)\n"
+        "parked = new Truck ahead of ego by gap\n"
+        "rider = new Bicycle behind ego by 12.0 with speed 4.0\n"
+        "walker = new Pedestrian left of ego by 6.0 with behavior Rest()\n"
+        "halter = new Car right of ego by 4.0 with speed 6.0 with behavior Halt(wait)\n"
+        "terminate when distance from parked to ego below 7.0\n",
+        "straight",
+        (0.05,),
+    ),
+    # cross left, right and forward; w_in onto its successor e_out; terminate on time
+    (
+        "param walk = Range(1.2, 2.0)\n"
+        "behavior GoLeft(v):\n    cross left at v when time above 0.5\n"
+        "behavior GoRight(v):\n    cross right at v when distance to ego below 15.0\n"
+        "behavior GoAhead(v):\n    cross forward at v\n"
+        "behavior Through(v):\n    follow lane at v\n"
+        "ego = new Car on lane w_in at 30.0 with speed 10.0 with behavior Through(10.0)\n"
+        "a = new Pedestrian at (8.0, -6.0) facing 0.0 with behavior GoLeft(walk)\n"
+        "b = new Pedestrian at (-5.0, 4.0) facing 180.0 with behavior GoRight(walk)\n"
+        "c = new Bicycle at (20.0, 8.0) facing -90.0 with behavior GoAhead(3.0)\n"
+        "terminate when time above 6.0\n",
+        "crossing",
+        (0.05, 0.1),
+    ),
+    # braking to zero; the end of a lane with no successor; timeout
+    (
+        "param rate = Range(2.0, 5.0)\n"
+        "behavior Cruise(v):\n    follow lane at v\n"
+        "behavior Ease(r):\n    brake at r when time above 0.5\n"
+        "ego = new Car on lane main_a at 170.0 with speed 12.0 with behavior Cruise(12.0)\n"
+        "slow = new Car on lane main_b at 150.0 with speed 8.0 with behavior Ease(rate)\n",
+        "straight",
+        (0.02,),
+    ),
+    # cut in left and right up to the merge; two contacts when contacts do
+    # not stop the run
+    (
+        "param rate = Range(1.2, 2.0)\n"
+        "behavior Cruise(v):\n    follow lane at v\n"
+        "behavior InLeft(r):\n    cut in left at r when time above 0.5\n"
+        "behavior InRight(r):\n    cut in right at r when distance to ego below 16.0\n"
+        "ego = new Car on lane main_a at 5.0 with speed 14.0 with behavior Cruise(14.0)\n"
+        "lefty = new Car on lane main_a at 100.0 with speed 10.0 with behavior InLeft(rate)\n"
+        "righty = new Car on lane main_b at 20.0 with speed 12.0 with behavior InRight(rate)\n"
+        "far = new Truck on lane main_b at 160.0\n"
+        "follower = new Car behind far by 30.0 with speed 10.0 with behavior Cruise(10.0)\n"
+        "terminate when time above 10.0\n",
+        "straight",
+        (0.05,),
+    ),
+    # laps of a loop of three-segment lanes, one fast enough to look more
+    # than a lap ahead
+    (
+        "param v = Range(8.0, 14.0)\n"
+        "behavior Lap(v):\n    follow lane at v\n"
+        "ego = new Car on lane a at 10.0 with speed 10.0 with behavior Lap(v)\n"
+        "other = new Car on lane c at 35.0 with speed 12.0 with behavior Lap(12.0)\n"
+        "rocket = new Car on lane b at 5.0 with speed 500.0 with behavior Lap(500.0)\n"
+        "terminate when time above 8.0\n",
+        "loop",
+        (0.05,),
+    ),
+)
+
+
+def test_engine_path_traces_match_the_golden_digest():
+    # 84 traces over what LIBRARY_MAPS leaves out, recorded before the step
+    # loop worked out its fixed work once per run
+    digest = hashlib.sha256()
+    for text, map_name, dts in ENGINE_PATH_SCRIPTS:
+        ast, diags = compile_script(text)
+        assert ast is not None and diags == []
+        world = _loop_world(bulge=0.5) if map_name == "loop" else builtin_map(map_name)
+        for scenario in sample_variations(ast, 6, base_seed=3):
+            for dt in dts:
+                for collision_stop in (True, False):
+                    config = SimConfig(dt=dt, max_duration=12.0, collision_stop=collision_stop)
+                    digest.update(trace_json_bytes(run(scenario, world, config)))
+    assert digest.hexdigest() == "a26b862177de9d8fd2e2990a5be649455300a414326b6e3e56b46afd59526f74"
 
 
 # --- trace serialization -----------------------------------------------

@@ -265,9 +265,8 @@ def _pixel_window(camera: PinholeCamera, agent: AgentState) -> tuple[slice, slic
     one pixel wider on every side and clamped to the image; None when that
     is empty.  A vertex that projects past the float range (to +-inf) counts
     as lying off that side of the image; a NaN projection leaves the full
-    grid.  A box
-    that reaches the camera plane is first clipped at the forward depth
-    `near`, half the least depth any ray can hit it at: every
+    grid.  A box that reaches the camera plane is first clipped at the
+    forward depth `near`, half the least depth any ray can hit it at: every
     ray meets the camera's forward axis at a cosine of at least `cos_edge`
     (the image corners' rays), and no ray reaches the box before `gap`, its
     distance from the camera.  So the clip drops no point a ray can hit,

@@ -358,8 +358,8 @@ def _coast(state: AgentState, rt: _Runtime, world: WorldMap, dt: float) -> None:
 
 
 def _hold_still(state: AgentState, rt: _Runtime, world: WorldMap, dt: float) -> None:
-    """idle, stop, and cross before its trigger: the label stays the one
-    `_initial_state` gave."""
+    """Idle, stop, and a cross before its trigger fires: no motion, and the
+    label stays the one `_initial_state` gave."""
     state.speed = 0.0
 
 

@@ -1270,8 +1270,7 @@ ENGINE_PATH_SCRIPTS = (
 
 
 def test_engine_path_traces_match_the_golden_digest():
-    # 84 traces over what LIBRARY_MAPS leaves out, recorded before the step
-    # loop worked out its fixed work once per run
+    # 84 traces, byte for byte, over the engine paths LIBRARY_MAPS leaves out
     digest = hashlib.sha256()
     for text, map_name, dts in ENGINE_PATH_SCRIPTS:
         ast, diags = compile_script(text)

@@ -1,5 +1,6 @@
 """Subcommand behavior and exit-code contract."""
 
+import hashlib
 import json
 import math
 import os
@@ -21,15 +22,17 @@ import pytest
 from scenekit import cli
 from scenekit.cli import main
 from scenekit.condgen.bundle import verify_bundle
+from scenekit.condgen.diffusion import MockDenoiser, run_diffusion
 from scenekit.dsl.nodes import AgentClass
 from scenekit.promptgen.stubserver import StubLLMServer
 from scenekit.render.cameras import MAX_IMAGE_SIDE, MAX_RAY_SLOPE, MAX_WORLD_COORD, PinholeCamera, TopDownCamera
 from scenekit.render.cameras import camera_from_dict
 from scenekit.render.combine import combine_controls, normalize_modality
-from scenekit.render.formats import read_pfm, read_pgm
+from scenekit.render.formats import encode_pfm, read_pfm, read_pgm
 from scenekit.render.raster import prepare_static
 from scenekit.sim.engine import AgentState
 from scenekit.sim.worldmap import builtin_map
+from test_sim import LIBRARY, LIBRARY_MAPS
 
 FIXTURES = Path(__file__).parent / "data" / "fixtures"
 
@@ -1525,7 +1528,74 @@ def test_config_numbers_accept_ints_for_floats(tmp_path, variation_script):
     assert json.loads((out / "summary.json").read_text())["strength"] == 1.0
 
 
-# --- stub-llm subcommand ------------------------------------------------
+# --- golden digest over whole pipeline trees ----------------------------
+
+# A 64x64 top-down view over each map's road, and perfbench's pinhole pose
+# at 64x48 (focal scaled with the width, so the field of view is the same).
+GOLDEN_CAMERAS = {
+    "topdown-straight": {"variant": "topdown", "center": [100.0, 1.75], "meters_per_pixel": 3.2, "width": 64, "height": 64},
+    "topdown-crossing": {"variant": "topdown", "center": [0.0, 0.0], "meters_per_pixel": 1.0, "width": 64, "height": 64},
+    "pinhole": {
+        "variant": "pinhole",
+        "position": [-32.0, -14.0, 9.0],
+        "yaw_deg": 30.0,
+        "pitch_deg": 18.0,
+        "focal_px": 32.0,
+        "width": 64,
+        "height": 48,
+        "far_plane": 100.0,
+    },
+}
+
+
+def _check_latents(bundle):
+    """Recompute each frame's latent from its combined map (numpy's random
+    stream may change between numpy versions); returns the manifest without
+    the latents' digests."""
+    config = json.loads((bundle / "config.json").read_text())
+    prompt = (bundle / "prompt.txt").read_text()
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    for frame in sorted((bundle / "frames").iterdir()):
+        index = int(frame.name)
+        latent = run_diffusion(
+            MockDenoiser(),
+            read_pfm(frame / "combined.pfm"),
+            prompt,
+            config["steps"],
+            config["strength"],
+            seed=config["seed"] * 1_000_003 + index,
+        )
+        header, payload = encode_pfm(latent)
+        data = (frame / "latent_final.pfm").read_bytes()
+        assert data == header + bytes(payload), frame
+        name = f"frames/{frame.name}/latent_final.pfm"
+        assert manifest["files"].pop(name) == hashlib.sha256(data).hexdigest(), name
+    return manifest
+
+
+def test_pipeline_trees_match_the_golden_digest(tmp_path):
+    # Each library script on its map through `pipeline`, once per camera:
+    # every file's path and bytes but the latents, which are checked against
+    # `run_diffusion` instead.  Any change to a trace, raster, summary or
+    # manifest moves this digest.
+    root = tmp_path / "runs"
+    for script, map_name in LIBRARY_MAPS:
+        for camera in (f"topdown-{map_name}", "pinhole"):
+            camera_path = tmp_path / f"{camera}.json"
+            camera_path.write_text(json.dumps(GOLDEN_CAMERAS[camera]))
+            out = root / f"{Path(script).stem}-{camera}"
+            argv = ["pipeline", "--script", str(LIBRARY / script), "--map", map_name, "--camera", str(camera_path)]
+            assert main([*argv, "--steps", "2", "-n", "2", "--jobs", "1", "--seed", "0", "-o", str(out)]) == 0
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*"), key=lambda p: p.relative_to(root).as_posix()):
+        if not path.is_file() or path.name == "latent_final.pfm":
+            continue
+        if path.name == "manifest.json":
+            data = json.dumps(_check_latents(path.parent), sort_keys=True).encode()
+        else:
+            data = path.read_bytes()
+        digest.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode() + data)
+    assert digest.hexdigest() == "ddbbe850c5d3ed720fb9266ba7d088de4d91fd1ff01c5202c93b5e26849fdd87"
 
 
 def test_stub_llm_serves_scripted_responses(tmp_path):

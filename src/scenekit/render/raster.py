@@ -24,7 +24,7 @@ import numpy as np
 from scenekit.dsl.nodes import AgentClass
 from scenekit.render.cameras import Camera, PinholeCamera, TopDownCamera
 from scenekit.sim.engine import AgentState
-from scenekit.sim.geometry import box_corners, points_in_box
+from scenekit.sim.geometry import Box, _corner_points, points_in_box
 from scenekit.sim.worldmap import WorldMap
 
 
@@ -205,6 +205,12 @@ def prepare_static(world: WorldMap, camera: Camera) -> StaticLayers:
 
 # --------------------------------------------------------------------------
 # per-frame rendering
+
+
+def box_corners(box: Box) -> np.ndarray:
+    """The box's corners as a counter-clockwise (4, 2) array: front-left,
+    rear-left, rear-right, front-right."""
+    return np.array(_corner_points(box))
 
 
 def _paint_topdown(

@@ -3,7 +3,6 @@
 from scenekit.sim.worldmap import Lane, MapError, Pose, WorldMap, load_map, builtin_map
 from scenekit.sim.geometry import (
     Box,
-    box_corners,
     contact_faces,
     obbs_overlap,
     points_in_box,

@@ -21,10 +21,13 @@ in three stages that each pass on only what they cannot decide:
    or near tangency).
 
 A collision's impact point (`impact_point`) and faces (`contact_faces`) are
-computed in plain floats with the IEEE operations, in the order, of the
-numpy code they replaced (kept in the tests as the oracle), so traces keep
-every byte: numpy's summation order (`_np_sum`) and the fused multiply-add
-of its two-element dot products (`_fma`) included.
+plain float arithmetic with one contract, which the tests check: each is
+within rounding of the same quantity computed exactly (`fractions.Fraction`)
+from the same float inputs.  The impact point, the centroid of the overlap
+polygon, is summed about the polygon's first vertex, so its rounding scales
+with the polygon's size (and, for a sliver, with how thin it is), never
+with its distance from the origin.  A face is the one exact arithmetic
+picks, unless two faces tie to within rounding of the 1e-12 tie margin.
 """
 
 from __future__ import annotations
@@ -32,10 +35,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 FACES = ("front", "rear", "left", "right")
 GUARD = 1e-3  # metres of clearance the broad phase demands; a rounding guard
+LOCAL_BEYOND = 2.0**20  # metres from the origin (about 1e6) past which the axis test shifts
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,32 +66,31 @@ def _corner_points(box: Box) -> list[tuple[float, float]]:
     ]
 
 
-def box_corners(box: Box) -> np.ndarray:
-    """The corners as a counter-clockwise (4, 2) array (see `_corner_points`)."""
-    return np.array(_corner_points(box))
-
-
-def _axes(box: Box) -> np.ndarray:
-    c, s = math.cos(box.heading), math.sin(box.heading)
-    return np.array([[c, s], [-s, c]])
-
-
 def signed_separation(a: Box, b: Box) -> float:
     """Minimum projected overlap across all four separating axes.
 
     Positive means the boxes interpenetrate by that depth; negative means
-    there is a separating axis with that much clearance.  Boxes past the
-    float range (a pose or side at or near inf) give inf or NaN silently.
+    there is a separating axis with that much clearance.  On an axis where
+    a's centre lies more than LOCAL_BEYOND from the origin both boxes are
+    taken about it: the shift is exact there, and it keeps the rounding
+    that of the boxes' sides and offset, not of their distance from the
+    origin.  Boxes past the float range (a pose or side at or near inf)
+    give NaN or inf, without an error.
     """
-    ca, cb = box_corners(a), box_corners(b)
+    ox = a.x if abs(a.x) > LOCAL_BEYOND else 0.0
+    oy = a.y if abs(a.y) > LOCAL_BEYOND else 0.0
+    ca = _corner_points(Box(a.x - ox, a.y - oy, a.heading, a.length, a.width))
+    cb = _corner_points(Box(b.x - ox, b.y - oy, b.heading, b.length, b.width))
+    if not all(math.isfinite(v) for corner in ca + cb for v in corner):
+        return math.nan
     result = math.inf
-    with np.errstate(all="ignore"):
-        for axis in np.vstack([_axes(a), _axes(b)]):
-            pa = ca @ axis
-            pb = cb @ axis
-            overlap = min(pa.max(), pb.max()) - max(pa.min(), pb.min())
-            result = min(result, overlap)
-    return float(result)
+    for heading in (a.heading, b.heading):
+        c, s = math.cos(heading), math.sin(heading)
+        for ux, uy in ((c, s), (-s, c)):
+            pa = [x * ux + y * uy for x, y in ca]
+            pb = [x * ux + y * uy for x, y in cb]
+            result = min(result, min(max(pa), max(pb)) - max(min(pa), min(pb)))
+    return result
 
 
 def _scalar_separation(a: Box, b: Box) -> float:
@@ -99,7 +100,7 @@ def _scalar_separation(a: Box, b: Box) -> float:
     min(ra + rb - |d|, 2 ra, 2 rb): ra and rb are the half-extents, d the
     centre offset along the axis.  Over the four axes the 2 ra and 2 rb
     terms come to the shortest side.  The sides are taken as absolute
-    values, as the corners of `box_corners` are.
+    values, as the corners of `_corner_points` are.
     """
     ca, sa = math.cos(a.heading), math.sin(a.heading)
     cb, sb = math.cos(b.heading), math.sin(b.heading)
@@ -160,11 +161,12 @@ def obbs_overlap(a: Box, b: Box) -> bool:
     return signed_separation(a, b) > 0.0
 
 
-def points_in_box(points: np.ndarray, box: Box) -> np.ndarray:
-    """Vectorized membership test for an (N, 2) array of points (inclusive)."""
-    rel = points - np.array([box.x, box.y])
-    local = rel @ _axes(box).T
-    return (np.abs(local[:, 0]) <= box.length / 2.0) & (np.abs(local[:, 1]) <= box.width / 2.0)
+def points_in_box(points, box: Box):
+    """Vectorized membership test for an (N, 2) array of points (inclusive);
+    returns an (N,) bool array."""
+    c, s = math.cos(box.heading), math.sin(box.heading)
+    local = (points - (box.x, box.y)) @ ((c, -s), (s, c))
+    return (abs(local[:, 0]) <= box.length / 2.0) & (abs(local[:, 1]) <= box.width / 2.0)
 
 
 def rel_heading_deg(heading_a: float, heading_b: float) -> float:
@@ -173,8 +175,6 @@ def rel_heading_deg(heading_a: float, heading_b: float) -> float:
     if diff > math.pi:
         diff = 2.0 * math.pi - diff
     return math.degrees(diff)
-
-
 
 
 # --- collision attributes, in plain floats ------------------------------
@@ -189,11 +189,7 @@ def impact_point(a: Box, b: Box) -> tuple[float, float]:
 
 
 def _clip(subject: list, clip: list) -> list:
-    """Sutherland-Hodgman clip of one convex polygon by another (CCW input).
-
-    Each of the 4 clip edges at most doubles the vertex count, so a clipped
-    box has at most 64 vertices (8 without rounding).
-    """
+    """Sutherland-Hodgman clip of one convex polygon by another (CCW input)."""
     output = subject
     n = len(clip)
     for i in range(n):
@@ -229,47 +225,24 @@ def _intersect(p, q, ax: float, ay: float, ex: float, ey: float) -> tuple[float,
 
 
 def _centroid(pts: list) -> tuple[float, float]:
-    """Area centroid of 3 or more vertices; the vertex mean for tiny/thin
-    polygons (area below 1e-12)."""
-    after = pts[1:] + pts[:1]
-    cross = [x * yn - xn * y for (x, y), (xn, yn) in zip(pts, after)]
-    area = _np_sum(cross) / 2.0
+    """Area centroid of 3 or more vertices, summed left to right about the
+    first vertex; the vertex mean for tiny/thin polygons (area below 1e-12)."""
+    x0, y0 = pts[0]
+    rel = [(x - x0, y - y0) for x, y in pts]
+    area2 = sx = sy = 0.0
+    for (x, y), (xn, yn) in zip(rel, rel[1:] + rel[:1]):
+        cross = x * yn - xn * y
+        area2 += cross
+        sx += (x + xn) * cross
+        sy += (y + yn) * cross
+    area = area2 / 2.0
     if abs(area) < 1e-12:
-        sx = sy = 0.0  # numpy's mean(axis=0) adds row by row from 0.0
-        for x, y in pts:
+        sx = sy = 0.0
+        for x, y in rel:
             sx += x
             sy += y
-        return sx / len(pts), sy / len(pts)
-    cx = _np_sum([(x + xn) * c for (x, _), (xn, _), c in zip(pts, after, cross)])
-    cy = _np_sum([(y + yn) * c for (_, y), (_, yn), c in zip(pts, after, cross)])
-    return cx / (6.0 * area), cy / (6.0 * area)
-
-
-def _np_sum(values: list[float]) -> float:
-    """The sum numpy's `add.reduce` gives for a float64 vector of at most
-    128 values (its pairwise sum, measured on numpy 2.4.6).
-
-    Fewer than 8 values add left to right from 0.0.  From 8 on, eight
-    running sums take every eighth value, meet as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), and the values past the last whole
-    block of 8 follow one by one; 0.0 is added last.  Not `sum()`: from
-    Python 3.12 it compensates.
-    """
-    n = len(values)
-    if n < 8:
-        total = 0.0
-        for v in values:
-            total += v
-        return total
-    r = values[:8]
-    whole = n - n % 8
-    for i in range(8, whole, 8):
-        for j in range(8):
-            r[j] += values[i + j]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for v in values[whole:]:
-        total += v
-    return 0.0 + total
+        return x0 + sx / len(rel), y0 + sy / len(rel)
+    return x0 + sx / (6.0 * area), y0 + sy / (6.0 * area)
 
 
 def contact_faces(a: Box, b: Box) -> tuple[str, str]:
@@ -283,13 +256,13 @@ def contact_faces(a: Box, b: Box) -> tuple[str, str]:
 
 def _facing(box: Box, other: Box) -> str:
     dx, dy = other.x - box.x, other.y - box.y
-    norm = math.sqrt(_fma(dy, dy, dx * dx))
+    norm = math.hypot(dx, dy)
     if norm == 0:
         return "front"
     ux, uy = dx / norm, dy / norm
     c, s = math.cos(box.heading), math.sin(box.heading)
-    front = _fma(s, uy, c * ux)  # (c, s) . (ux, uy)
-    left = _fma(c, uy, -s * ux)  # (-s, c) . (ux, uy)
+    front = c * ux + s * uy  # (c, s) . (ux, uy)
+    left = -s * ux + c * uy  # (-s, c) . (ux, uy)
     best = "front"
     best_dot = -math.inf
     for face, dot in zip(FACES, (front, -front, left, -left)):
@@ -297,26 +270,3 @@ def _facing(box: Box, other: Box) -> str:
             best = face
             best_dot = dot
     return best
-
-
-def _fma(a: float, b: float, c: float) -> float:
-    """a * b + c rounded once.
-
-    numpy's dot product of two 2-vectors x, y is fma(x1, y1, x0 * y0) (its
-    BLAS `ddot` fuses the multiply-add; measured on numpy 2.4.6), and so is
-    the square under `np.linalg.norm`.  `math.fma` needs Python 3.13, so
-    the sum is formed exactly in integers and divided once: int / int
-    rounds correctly.
-    """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        return a * b + c  # the product is exact: inf or nan
-    if not math.isfinite(c):
-        return c
-    (na, da), (nb, db), (nc, dc) = a.as_integer_ratio(), b.as_integer_ratio(), c.as_integer_ratio()
-    num = na * nb * dc + nc * da * db
-    if num == 0:
-        return a * b + c  # an exact zero, with the sign IEEE gives it
-    try:
-        return num / (da * db * dc)
-    except OverflowError:
-        return math.inf if num > 0 else -math.inf

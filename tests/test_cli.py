@@ -1595,7 +1595,7 @@ def test_pipeline_trees_match_the_golden_digest(tmp_path):
         else:
             data = path.read_bytes()
         digest.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode() + data)
-    assert digest.hexdigest() == "ddbbe850c5d3ed720fb9266ba7d088de4d91fd1ff01c5202c93b5e26849fdd87"
+    assert digest.hexdigest() == "eba5d90997e3e64a6305a594fe929d229b5a110da4ce5472e33d7b01f7b39f24"
 
 
 def test_stub_llm_serves_scripted_responses(tmp_path):
